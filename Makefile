@@ -2,20 +2,16 @@
 #
 #   make check   — build + vet + tests (the ROADMAP.md tier-1 gate)
 #   make race    — the same tests under the race detector; required for
-#                  the concurrent sharded runtime (internal/runtime,
-#                  internal/engine, internal/server)
+#                  the concurrent server (group commit, client handlers)
 #   make bench   — the hot-path benchmark harness; writes
 #                  BENCH_hotpath.json (ns/op, B/op, allocs/op) and
 #                  BENCH_registry.json (dynamic-registration latency
 #                  percentiles, compile time, catch-up volume)
-#   make scaling — multi-core scaling curves for the ring-based sharded
-#                  dispatcher at GOMAXPROCS 1/2/4/8; writes
-#                  BENCH_shards.json (ns/op per core count + speedups)
 #   make fuzz    — a short pass over every fuzz target
 
 GO ?= go
 
-.PHONY: all check race bench scaling fuzz
+.PHONY: all check race bench fuzz
 
 all: check race
 
@@ -32,8 +28,7 @@ bench:
 	scripts/bench.sh
 	SUITE=registry scripts/bench.sh
 
-scaling:
-	SUITE=shards scripts/bench.sh
-
 fuzz:
-	$(GO) test -run xxx -fuzz FuzzShardedAgreement -fuzztime 10s ./internal/engine
+	$(GO) test -run xxx -fuzz FuzzTypedGenericAgreement -fuzztime 10s ./internal/engine
+	$(GO) test -run xxx -fuzz FuzzQueryAgreement -fuzztime 10s ./internal/qgen
+	$(GO) test -run xxx -fuzz FuzzServerCommand -fuzztime 10s ./internal/server

@@ -16,8 +16,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	"dbtoaster/internal/bakeoff"
 	"dbtoaster/internal/orderbook"
@@ -34,7 +32,6 @@ func main() {
 		seed     = flag.Int64("seed", 1, "workload generator seed")
 		ablation = flag.Bool("ablation", false, "also run interpreter/no-slice ablations")
 		sweep    = flag.Bool("sweep", false, "also print throughput-vs-stream-position series")
-		shards   = flag.String("shards", "", "comma-separated shard counts (e.g. 1,2,4,8): run the sharded-runtime sweep and add the largest as a bakeoff contender")
 		batch    = flag.Int("batch", 0, "feed engines in OnEventBatch chunks of this size (0 = per-event)")
 		metrics  = flag.String("metrics-out", "", "instrument the dbtoaster contenders and keep writing steady-state metrics snapshots to this JSON file (e.g. BENCH_metrics.json)")
 		walDir   = flag.String("wal-dir", "", "add the dbtoaster-wal contender (compiled engine with write-ahead logging), keeping its scratch logs under this directory")
@@ -42,20 +39,6 @@ func main() {
 		natPlug  = flag.Bool("native-plugin", false, "add the dbtoaster-native-plugin contender (generated Go loaded via -buildmode=plugin)")
 	)
 	flag.Parse()
-
-	var shardCounts []int
-	for _, f := range strings.Split(*shards, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		n, err := strconv.Atoi(f)
-		if err != nil || n < 1 {
-			fmt.Fprintf(os.Stderr, "bakeoff: bad -shards value %q\n", f)
-			os.Exit(1)
-		}
-		shardCounts = append(shardCounts, n)
-	}
 
 	type job struct {
 		name    string
@@ -92,9 +75,6 @@ func main() {
 	engines := []string{"dbtoaster", "naive-reeval", "first-order-ivm"}
 	if *ablation {
 		engines = append(engines, "dbtoaster-interp", "dbtoaster-noslice", "dbtoaster-generic")
-	}
-	if len(shardCounts) > 0 {
-		engines = append(engines, fmt.Sprintf("dbtoaster-sharded-%d", shardCounts[len(shardCounts)-1]))
 	}
 	if *walDir != "" {
 		engines = append(engines, "dbtoaster-wal")
@@ -135,14 +115,6 @@ func main() {
 				os.Exit(1)
 			}
 			bakeoff.PrintSweep(os.Stdout, series)
-		}
-		if len(shardCounts) > 0 {
-			rows, err := bakeoff.ShardSweep(j.sql, j.catalog, j.events, shardCounts)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "bakeoff:", err)
-				os.Exit(1)
-			}
-			bakeoff.PrintShardSweep(os.Stdout, j.sql, rows)
 		}
 		fmt.Println()
 	}

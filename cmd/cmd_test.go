@@ -4,7 +4,10 @@
 package cmd_test
 
 import (
+	"bufio"
+	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -78,6 +81,47 @@ func TestBakeoffRuns(t *testing.T) {
 	}
 	if strings.Contains(out, " NO") {
 		t.Errorf("bakeoff reports disagreement:\n%s", out)
+	}
+}
+
+// TestDbtserverInterruptRightAfterStartup interrupts the daemon the moment
+// it prints its serving line: the signal handler must already be in place,
+// so the process shuts down gracefully and exits 0 instead of dying to the
+// default SIGINT disposition.
+func TestDbtserverInterruptRightAfterStartup(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode: skipping toolchain invocation")
+	}
+	bin := filepath.Join(t.TempDir(), "dbtserver")
+	build := exec.Command("go", "build", "-o", bin, "./cmd/dbtserver")
+	build.Dir = ".."
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	cmd := exec.Command(bin, "-tables", "R(A:int,B:int)",
+		"-sql", "select B, sum(A) from R group by B", "-addr", "127.0.0.1:0")
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	sc := bufio.NewScanner(stdout)
+	var lines []string
+	for sc.Scan() {
+		lines = append(lines, sc.Text())
+		if strings.HasPrefix(sc.Text(), "dbtserver: serving ") {
+			if err := cmd.Process.Signal(os.Interrupt); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := cmd.Wait(); err != nil {
+		t.Fatalf("dbtserver exit: %v\noutput:\n%s", err, strings.Join(lines, "\n"))
+	}
+	if out := strings.Join(lines, "\n"); !strings.Contains(out, "dbtserver: shutting down") {
+		t.Fatalf("no graceful shutdown line:\n%s", out)
 	}
 }
 

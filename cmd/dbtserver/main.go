@@ -33,7 +33,6 @@ func main() {
 		catName     = flag.String("catalog", "", "built-in catalog: rst, orderbook, tpch")
 		tables      = flag.String("tables", "", "semicolon-separated table specs")
 		addr        = flag.String("addr", "127.0.0.1:7077", "listen address")
-		shards      = flag.Int("shards", 0, "run queries on the sharded runtime with this many shard workers (0 = single-threaded)")
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics (Prometheus), /metrics.json, /trace.json, /debug/vars, and /debug/pprof on this address (empty = no HTTP endpoint)")
 		noMetrics   = flag.Bool("no-metrics", false, "disable instrumentation entirely (METRICS returns ERR)")
 		walDir      = flag.String("wal-dir", "", "write-ahead log directory: log every delta and support CHECKPOINT (empty = no durability)")
@@ -95,7 +94,6 @@ func main() {
 		os.Exit(1)
 	}
 	opts := server.Options{
-		Shards:          *shards,
 		NoMetrics:       *noMetrics,
 		WALDir:          *walDir,
 		Recover:         *recover,
@@ -112,10 +110,6 @@ func main() {
 		MaxPending:  *maxPending,
 	}
 	if *nativeMode != "" {
-		if *shards > 1 {
-			fmt.Fprintln(os.Stderr, "dbtserver: -native and -shards are mutually exclusive")
-			os.Exit(1)
-		}
 		mode, ok := parseNativeMode(*nativeMode)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "dbtserver: unknown -native mode %q (want subprocess or plugin)\n", *nativeMode)
@@ -147,16 +141,16 @@ func main() {
 		}
 		fmt.Println()
 	}
+	// The handler goes in before Listen: an interrupt that races the
+	// serving line must still reach the graceful Close below.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt)
 	bound, err := s.Listen(*addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dbtserver:", err)
 		os.Exit(1)
 	}
-	if *shards > 1 {
-		fmt.Printf("dbtserver: serving %q on %s (%d shards)\n", src, bound, *shards)
-	} else {
-		fmt.Printf("dbtserver: serving %q on %s\n", src, bound)
-	}
+	fmt.Printf("dbtserver: serving %q on %s\n", src, bound)
 	if *metricsAddr != "" {
 		h, err := metrics.Serve(*metricsAddr, s.Sink())
 		if err != nil {
@@ -167,8 +161,6 @@ func main() {
 		fmt.Printf("dbtserver: metrics on http://%s/metrics\n", h.Addr)
 	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt)
 	<-sig
 	fmt.Println("dbtserver: shutting down")
 	s.Close()

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -111,19 +110,12 @@ func buildEngine(name string, q *engine.Query, opts runtime.Options) (engine.Eng
 	case "dbtoaster-native-plugin":
 		return engine.NewNativeToaster(q, native.ModePlugin)
 	default:
-		if rest, ok := strings.CutPrefix(name, "dbtoaster-sharded-"); ok {
-			n, err := strconv.Atoi(rest)
-			if err != nil || n < 1 {
-				return nil, fmt.Errorf("bakeoff: bad shard count in engine %q", name)
-			}
-			return engine.NewShardedToaster(q, n, opts)
-		}
 		return nil, fmt.Errorf("bakeoff: unknown engine %q", name)
 	}
 }
 
-// finishEngine drains any queued work so measurements include it, and
-// releases worker goroutines. The returned error surfaces asynchronous
+// finishEngine drains any queued work (the native engine's pipe) so
+// measurements include it. The returned error surfaces asynchronous
 // failures deferred until the barrier.
 func finishEngine(e engine.Engine) error {
 	if f, ok := e.(interface{ Flush() error }); ok {

@@ -11,17 +11,12 @@ import (
 	"dbtoaster/internal/types"
 )
 
-// shardCounts is the sweep the differential tests exercise: degenerate
-// single shard, small, and larger-than-core counts.
-var shardCounts = []int{1, 2, 8}
-
-// TestShardedDifferentialProperty is the sharded runtime's correctness
-// net: ≥100 random query/stream pairs (reusing the random-query
-// generator from fuzz_test.go) driven through Toaster, Naive,
-// FirstOrderIVM, and ShardedToaster at shard counts 1, 2, and 8, with
+// TestDifferentialProperty is the engines' correctness net: ≥100 random
+// query/stream pairs (reusing the random-query generator from
+// fuzz_test.go) driven through Toaster, Naive, and FirstOrderIVM, with
 // delete-heavy and update (delete/insert pair) phases, requiring exact
 // Result agreement mid-stream and at the end.
-func TestShardedDifferentialProperty(t *testing.T) {
+func TestDifferentialProperty(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
@@ -39,31 +34,14 @@ func TestShardedDifferentialProperty(t *testing.T) {
 				t.Fatalf("toaster %q: %v", src, err)
 			}
 			engines := []Engine{toaster, NewNaive(q), NewIVM(q)}
-			for _, n := range shardCounts {
-				sh, err := NewShardedToaster(q, n, runtime.Options{})
-				if err != nil {
-					t.Fatalf("sharded-%d %q: %v", n, src, err)
-				}
-				defer sh.Close()
-				engines = append(engines, sh)
-			}
-			// Batch-fed twins: the same stream delivered through
+			// Batch-fed twin: the same stream delivered through
 			// OnEventBatch (in uneven chunks) must agree exactly with the
-			// per-event path, for both the single-threaded and sharded
-			// engines.
+			// per-event path.
 			batchToaster, err := NewToaster(q, runtime.Options{})
 			if err != nil {
 				t.Fatalf("batch toaster %q: %v", src, err)
 			}
 			batched := []Engine{batchToaster}
-			for _, n := range shardCounts {
-				sh, err := NewShardedToaster(q, n, runtime.Options{})
-				if err != nil {
-					t.Fatalf("batch sharded-%d %q: %v", n, src, err)
-				}
-				defer sh.Close()
-				batched = append(batched, sh)
-			}
 			var pending []stream.Event
 			flushBatched := func() {
 				for _, chunk := range stream.Batches(pending, 7) {
@@ -128,47 +106,6 @@ func TestShardedDifferentialProperty(t *testing.T) {
 			flushBatched()
 			requireAgreement(t, all, src+" after drain")
 		})
-	}
-}
-
-func TestShardedToasterDirect(t *testing.T) {
-	q, err := Prepare("select B, sum(A) from R group by B", testCatalog())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh, err := NewShardedToaster(q, 4, runtime.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sh.Name() != "dbtoaster-sharded-4" {
-		t.Errorf("name = %q", sh.Name())
-	}
-	if sh.Compiled() == nil || sh.Runtime() == nil {
-		t.Error("accessors broken")
-	}
-	if got := len(sh.Runtime().Partition().MapPos); got == 0 {
-		t.Error("group-by query should shard its maps")
-	}
-	for i := 0; i < 100; i++ {
-		if err := sh.OnEvent(stream.Ins("R", types.NewInt(int64(i)), types.NewInt(int64(i%7)))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sh.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	res, err := sh.Results()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 7 {
-		t.Errorf("rows = %d, want 7\n%s", len(res.Rows), res)
-	}
-	if sh.MemEntries() == 0 {
-		t.Error("no entries after inserts")
-	}
-	if err := sh.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 

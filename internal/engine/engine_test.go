@@ -21,8 +21,7 @@ func testCatalog() *schema.Catalog {
 	)
 }
 
-// allEngines builds one of each engine for a query, including sharded
-// variants (closed automatically when the test ends).
+// allEngines builds one of each engine for a query.
 func allEngines(t *testing.T, src string) []Engine {
 	t.Helper()
 	q, err := Prepare(src, testCatalog())
@@ -33,16 +32,7 @@ func allEngines(t *testing.T, src string) []Engine {
 	if err != nil {
 		t.Fatalf("NewToaster(%q): %v", src, err)
 	}
-	engines := []Engine{toaster, NewNaive(q), NewIVM(q)}
-	for _, n := range []int{2, 8} {
-		sh, err := NewShardedToaster(q, n, runtime.Options{})
-		if err != nil {
-			t.Fatalf("NewShardedToaster(%q, %d): %v", src, n, err)
-		}
-		t.Cleanup(func() { sh.Close() })
-		engines = append(engines, sh)
-	}
-	return engines
+	return []Engine{toaster, NewNaive(q), NewIVM(q)}
 }
 
 func feedAll(t *testing.T, engines []Engine, evs []stream.Event) {
@@ -385,7 +375,7 @@ func TestMultiToasterDirect(t *testing.T) {
 
 func TestEngineNames(t *testing.T) {
 	engines := allEngines(t, "select sum(A) from R")
-	want := []string{"dbtoaster", "naive-reeval", "first-order-ivm", "dbtoaster-sharded-2", "dbtoaster-sharded-8"}
+	want := []string{"dbtoaster", "naive-reeval", "first-order-ivm"}
 	for i, e := range engines {
 		if e.Name() != want[i] {
 			t.Errorf("engine %d name = %q, want %q", i, e.Name(), want[i])

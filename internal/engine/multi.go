@@ -15,7 +15,6 @@ import (
 // join side) are maintained once and each event runs one merged trigger.
 type MultiToaster struct {
 	viewReader
-	rt       *runtime.Engine
 	queries  []*Query
 	compiled *compiler.MultiCompiled
 }
@@ -44,8 +43,7 @@ func NewToasterMulti(queries []*Query, opts runtime.Options) (*MultiToaster, err
 		return nil, err
 	}
 	m := &MultiToaster{
-		viewReader: viewReader{view: engineViews(rt), byQuery: map[*translate.Query]*compiler.QueryInfo{}},
-		rt:         rt,
+		viewReader: newViewReader(rt),
 		queries:    queries,
 		compiled:   mc,
 	}

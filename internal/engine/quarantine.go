@@ -138,7 +138,7 @@ func (r *Registry) fanOut(evs []stream.Event, ev stream.Event, batch bool) error
 // runGuarded applies the delta to one engine behind a panic backstop. The
 // runtime's own containment converts trigger panics to *runtime.PanicError;
 // the recover here catches everything above that layer (admission coercion,
-// sharded dispatch, native wire encoding).
+// native wire encoding).
 func runGuarded(eng CompiledEngine, evs []stream.Event, ev stream.Event, batch, timed bool) (err error, pval any, elapsed time.Duration) {
 	defer func() {
 		if p := recover(); p != nil {

@@ -66,9 +66,7 @@ func IsFatal(err error) bool {
 // footprinter is the cheap cost-accounting surface: engines that can count
 // owned entries/bytes without allocating implement it (Toaster via the
 // runtime; NativeToaster via its shadow, so native enforcement lags to the
-// last sync barrier). Engines without it — the sharded runtime, whose
-// entry count requires a cross-worker quiesce — are exempt from size
-// quotas rather than paying a flush barrier per event.
+// last sync barrier). Engines without it are exempt from size quotas.
 type footprinter interface{ OwnedFootprint() (int, uint64) }
 
 func footprintOf(eng Engine) (entries int, bytes uint64, ok bool) {

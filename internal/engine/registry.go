@@ -56,8 +56,10 @@ type Registry struct {
 	entries map[string]*regEntry
 	nextSeq int
 	pool    map[string]*poolEntry
-	// live caches the live entries newest-first for the event fan-out.
-	live []*regEntry
+	// live caches the live entries newest-first for the event fan-out;
+	// liveBorrows records whether any of them adopts a pooled map.
+	live        []*regEntry
+	liveBorrows bool
 	// stash holds quarantined entries displaced by an in-flight revive
 	// (a REGISTER under a quarantined name); Abort restores them.
 	stash map[string]*regEntry
@@ -120,8 +122,7 @@ type PoolInfo struct {
 	FromSeq uint64
 }
 
-// CompiledEngine is the standing-query surface the registry manages; both
-// the single-threaded Toaster and the sharded variant satisfy it.
+// CompiledEngine is the standing-query surface the registry manages.
 type CompiledEngine interface {
 	Engine
 	Compiled() *compiler.Compiled
@@ -158,9 +159,9 @@ type poolEntry struct {
 }
 
 // NewRegistry creates an empty registry. sharing enables cross-query map
-// adoption; it must be off when engines process events concurrently (the
-// sharded runtime), since adopted maps are read without synchronization
-// against the owner's writes.
+// adoption; adopted maps are read without synchronization against the
+// owner's writes, so every engine must apply events on the fan-out's
+// goroutine.
 func NewRegistry(sharing bool) *Registry {
 	return &Registry{
 		sharing:       sharing,
@@ -234,7 +235,7 @@ func sigsOf(prog *ir.Program) map[string]string {
 // every eligible pooled map for adoption and (b) transfers the caught-up
 // engine's own map state into the final build — so the swapped-in engine
 // starts exactly where the private catch-up engine stopped, with metrics
-// attached and sharing applied. Other engine kinds (the sharded runtime)
+// attached and sharing applied. Other engine kinds (the native engine)
 // install as-is. fromSeq is the WAL position before which this query saw
 // nothing; opts are the final build's runtime options and are retained for
 // ownership-promotion rebuilds.
@@ -450,13 +451,16 @@ func (r *Registry) promoteLocked(b *regEntry, sigsToOwn []string) error {
 // first, so borrowers always fire before the owners of their shared maps.
 func (r *Registry) rebuildLiveLocked() {
 	live := r.live[:0:0]
+	borrows := false
 	for _, e := range r.entries {
 		if e.state == StateLive {
 			live = append(live, e)
+			borrows = borrows || len(e.borrowed) > 0
 		}
 	}
 	sort.Slice(live, func(i, j int) bool { return live[i].seq > live[j].seq })
 	r.live = live
+	r.liveBorrows = borrows
 }
 
 // OnEvent fans one delta out to every live engine, newest registration
@@ -469,9 +473,25 @@ func (r *Registry) OnEvent(ev stream.Event) error {
 	return r.fanOut(nil, ev, false)
 }
 
-// OnEventBatch fans a batch out to every live engine, newest first.
+// OnEventBatch fans a batch out to every live engine, newest first. When
+// a live query borrows a shared map, the batch is applied event by event
+// across engines instead: handing each engine the whole batch in turn
+// would let a borrower read its owner's map as of the batch start rather
+// than as of the event before the current one.
 func (r *Registry) OnEventBatch(evs []stream.Event) error {
-	return r.fanOut(evs, stream.Event{}, true)
+	r.mu.Lock()
+	borrows := r.liveBorrows
+	r.mu.Unlock()
+	if !borrows {
+		return r.fanOut(evs, stream.Event{}, true)
+	}
+	var firstErr error
+	for _, ev := range evs {
+		if err := r.fanOut(nil, ev, false); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	return firstErr
 }
 
 // Get returns a live query's engine.

@@ -8,36 +8,24 @@ import (
 	"dbtoaster/internal/runtime"
 	"dbtoaster/internal/stream"
 	"dbtoaster/internal/translate"
-	"dbtoaster/internal/treap"
 	"dbtoaster/internal/types"
 )
 
-// mapView is the read surface result assembly needs from a view map. A
-// *runtime.Map satisfies it directly; the sharded engine satisfies it
-// with a merged view over per-shard storage.
-type mapView interface {
-	Get(key types.Tuple) float64
-	Scan(f func(types.Tuple, float64))
-	Tree() *treap.Tree
-}
-
-// viewReader resolves component values and group enumerations from a map
-// view accessor plus the query→info directory; it backs the single-query
-// Toaster, the shared-program MultiToaster, and the ShardedToaster.
+// viewReader resolves component values and group enumerations from a
+// runtime engine's maps plus the query→info directory; it backs the
+// single-query Toaster and the shared-program MultiToaster.
 type viewReader struct {
-	view    func(name string) mapView
+	rt      *runtime.Engine
 	byQuery map[*translate.Query]*compiler.QueryInfo
 }
 
-// engineViews adapts a single runtime engine to the view accessor.
-func engineViews(rt *runtime.Engine) func(string) mapView {
-	return func(name string) mapView { return rt.Map(name) }
+func newViewReader(rt *runtime.Engine) viewReader {
+	return viewReader{rt: rt, byQuery: map[*translate.Query]*compiler.QueryInfo{}}
 }
 
 // Toaster is the paper's engine: recursively compiled triggers over maps.
 type Toaster struct {
 	viewReader
-	rt       *runtime.Engine
 	q        *Query
 	compiled *compiler.Compiled
 	name     string
@@ -61,8 +49,7 @@ func NewToasterCompiled(q *Query, comp *compiler.Compiled, opts runtime.Options)
 		return nil, err
 	}
 	t := &Toaster{
-		viewReader: viewReader{view: engineViews(rt), byQuery: map[*translate.Query]*compiler.QueryInfo{}},
-		rt:         rt,
+		viewReader: newViewReader(rt),
 		q:          q,
 		compiled:   comp,
 	}
@@ -152,7 +139,7 @@ func (t *viewReader) groups(q *translate.Query) ([]types.Tuple, error) {
 	}
 	info := t.byQuery[q]
 	ci := info.Comps[q.ExistsIdx]
-	m := t.view(ci.MapName)
+	m := t.rt.Map(ci.MapName)
 	seen := map[types.Key]types.Tuple{}
 	m.Scan(func(tp types.Tuple, _ float64) {
 		g := make(types.Tuple, len(ci.GroupPos))
@@ -179,7 +166,7 @@ func (t *viewReader) groups(q *translate.Query) ([]types.Tuple, error) {
 func (t *viewReader) compValue(q *translate.Query, idx int, group types.Tuple) (types.Value, error) {
 	info := t.byQuery[q]
 	ci := info.Comps[idx]
-	m := t.view(ci.MapName)
+	m := t.rt.Map(ci.MapName)
 	kind := q.Components[idx].Kind
 	switch {
 	case ci.Threshold != nil:
@@ -214,8 +201,7 @@ func (t *viewReader) compValue(q *translate.Query, idx int, group types.Tuple) (
 // aggregate: Σ entries whose measure key compares against the subquery's
 // current value.
 func (t *viewReader) thresholdValue(q *translate.Query, ci compiler.CompInfo, group types.Tuple) (types.Value, error) {
-	m := t.view(ci.MapName)
-	tree := m.Tree()
+	tree := t.rt.Map(ci.MapName).Tree()
 	if tree == nil {
 		return types.Null, fmt.Errorf("engine: threshold map %s lacks sorted mirror", ci.MapName)
 	}

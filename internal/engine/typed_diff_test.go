@@ -94,9 +94,8 @@ func typedDiffQueries() (*schema.Catalog, []string) {
 // TestTypedGenericDifferential pins the typed physical layer to the
 // generic one: for every query in the lineup and a set of random streams,
 // the typed engine (packed maps, unboxed kernels), the generic engine
-// (Options.NoTypedStorage), and the sharded typed engine must produce
-// identical results — and typed vs generic must agree on the full map
-// state, entry for entry, bitwise.
+// (Options.NoTypedStorage) must produce identical results and agree on
+// the full map state, entry for entry, bitwise.
 func TestTypedGenericDifferential(t *testing.T) {
 	cat, queries := typedDiffQueries()
 	rels := []string{"T0", "T1"}
@@ -118,19 +117,12 @@ func TestTypedGenericDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatalf("generic toaster: %v", err)
 				}
-				sharded, err := NewShardedToaster(q, 3, runtime.Options{})
-				if err != nil {
-					t.Fatalf("sharded toaster: %v", err)
-				}
 				for _, ev := range events {
 					if err := typed.OnEvent(ev); err != nil {
 						t.Fatalf("typed OnEvent: %v", err)
 					}
 					if err := generic.OnEvent(ev); err != nil {
 						t.Fatalf("generic OnEvent: %v", err)
-					}
-					if err := sharded.OnEvent(ev); err != nil {
-						t.Fatalf("sharded OnEvent: %v", err)
 					}
 				}
 				if d := diffMapStates(mapState(generic.Runtime()), mapState(typed.Runtime())); d != "" {
@@ -147,14 +139,6 @@ func TestTypedGenericDifferential(t *testing.T) {
 				if !ref.Equal(got) {
 					t.Fatalf("%q trial %d: typed results diverge\nref:\n%s\ngot:\n%s", src, trial, ref, got)
 				}
-				sgot, err := sharded.Results()
-				if err != nil {
-					t.Fatalf("sharded results: %v", err)
-				}
-				if !ref.Equal(sgot) {
-					t.Fatalf("%q trial %d: sharded typed results diverge\nref:\n%s\ngot:\n%s", src, trial, ref, sgot)
-				}
-				sharded.Close()
 			}
 		})
 	}

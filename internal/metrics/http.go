@@ -52,8 +52,6 @@ func (s *Snapshot) WritePrometheus(w io.Writer) {
 			fmt.Fprintf(w, "dbt_map_approx_bytes{%s} %d\n", mapLabels(m), m.ApproxBytes)
 		}
 	}
-	writeDispatchProm(w, "shard", s.Shard)
-	writeDispatchProm(w, "global", s.Global)
 	if d := s.WAL; d != nil {
 		fmt.Fprintf(w, "# TYPE dbt_wal_appends_total counter\ndbt_wal_appends_total %d\n", d.Appends)
 		fmt.Fprintf(w, "# TYPE dbt_wal_appended_bytes_total counter\ndbt_wal_appended_bytes_total %d\n", d.AppendedBytes)
@@ -90,20 +88,6 @@ func writePromHistogram(w io.Writer, name, labels string, h HistogramSnapshot) {
 	}
 	fmt.Fprintf(w, "%s_sum{%s} %d\n", name, labels, h.Sum)
 	fmt.Fprintf(w, "%s_count{%s} %d\n", name, labels, h.Count)
-}
-
-func writeDispatchProm(w io.Writer, kind string, d *DispatchSnapshot) {
-	if d == nil {
-		return
-	}
-	fmt.Fprintf(w, "# TYPE dbt_dispatch_batches_total counter\ndbt_dispatch_batches_total{worker=%q} %d\n", kind, d.Batches)
-	fmt.Fprintf(w, "# TYPE dbt_dispatch_events_total counter\ndbt_dispatch_events_total{worker=%q} %d\n", kind, d.Events)
-	fmt.Fprintf(w, "# TYPE dbt_dispatch_batch_size histogram\n")
-	writePromHistogram(w, "dbt_dispatch_batch_size", fmt.Sprintf("worker=%q", kind), d.BatchSize)
-	fmt.Fprintf(w, "# TYPE dbt_dispatch_queue_depth histogram\n")
-	writePromHistogram(w, "dbt_dispatch_queue_depth", fmt.Sprintf("worker=%q", kind), d.QueueDepth)
-	fmt.Fprintf(w, "# TYPE dbt_dispatch_stalls_total counter\ndbt_dispatch_stalls_total{worker=%q} %d\n", kind, d.Stalls)
-	fmt.Fprintf(w, "# TYPE dbt_dispatch_parks_total counter\ndbt_dispatch_parks_total{worker=%q} %d\n", kind, d.Parks)
 }
 
 // HTTPServer is a running metrics endpoint.

@@ -151,12 +151,6 @@ func TestSinkRegistrationDedup(t *testing.T) {
 	if s.Map("q", "views", "int1") != m1 {
 		t.Error("same (label, name) must share gauges")
 	}
-	if s.ShardDispatch() != s.ShardDispatch() {
-		t.Error("shard dispatch series must be a singleton")
-	}
-	if s.GlobalDispatch() == (*DispatchStats)(nil) || s.GlobalDispatch() == s.ShardDispatch() {
-		t.Error("global dispatch series wrong")
-	}
 }
 
 func TestSnapshotAndLines(t *testing.T) {
@@ -174,15 +168,10 @@ func TestSnapshotAndLines(t *testing.T) {
 		m.Peak.MaxTo(m.Entries.Inc())
 	}
 	m.Entries.Dec()
-	d := s.ShardDispatch()
-	d.Batches.Inc()
-	d.Events.Add(10)
-	d.BatchSize.Observe(10)
-	d.QueueDepth.Observe(0)
 
 	snap := s.Snapshot()
-	// Events derives from admission-marked trigger counts (no separate
-	// per-event counter on the hot path).
+	// Events derives from trigger counts (no separate per-event counter
+	// on the hot path).
 	if snap.Events != 10 {
 		t.Errorf("Events = %d", snap.Events)
 	}
@@ -198,19 +187,12 @@ func TestSnapshotAndLines(t *testing.T) {
 	if snap.Maps[0].ApproxBytes != 3*24 {
 		t.Errorf("ApproxBytes = %d", snap.Maps[0].ApproxBytes)
 	}
-	if snap.Shard == nil || snap.Shard.Batches != 1 || snap.Shard.Events != 10 {
-		t.Errorf("Shard = %+v", snap.Shard)
-	}
-	if snap.Global != nil {
-		t.Error("Global dispatch never registered, must be nil")
-	}
 
 	text := strings.Join(snap.Lines(), "\n")
 	for _, want := range []string{
 		"events_total 10",
 		"trigger main R insert count=10 errors=1",
 		"map main q_sum entries=3 peak=4",
-		"dispatch shard batches=1 events=10",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("Lines missing %q in:\n%s", want, text)
@@ -335,8 +317,9 @@ func TestPeriodicWriter(t *testing.T) {
 	s := New()
 	path := filepath.Join(t.TempDir(), "BENCH_metrics.json")
 	w := NewPeriodicWriter(s, path, 10*time.Millisecond)
+	tr := s.Trigger("main", "R", true)
 	for i := 0; i < 100; i++ {
-		s.Ingested.Inc()
+		tr.Count.Inc()
 	}
 	time.Sleep(30 * time.Millisecond)
 	if err := w.Stop(); err != nil {

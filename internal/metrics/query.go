@@ -37,7 +37,7 @@ func (s *Sink) Query(label string) *QueryStats {
 }
 
 // DropLabel removes every series scoped to the given label (triggers,
-// maps, workers, query lifecycle) — the metrics half of UNREGISTER.
+// maps, query lifecycle) — the metrics half of UNREGISTER.
 // Handles already held by a discarded engine keep working; they just no
 // longer appear in snapshots.
 func (s *Sink) DropLabel(label string) {
@@ -61,15 +61,6 @@ func (s *Sink) DropLabel(label string) {
 		keepM = append(keepM, m)
 	}
 	s.maps = keepM
-	keepW := s.workers[:0]
-	for _, w := range s.workers {
-		if w.Label == label {
-			delete(s.workerIdx, w.Label+"\x00"+w.Worker)
-			continue
-		}
-		keepW = append(keepW, w)
-	}
-	s.workers = keepW
 	if _, ok := s.queryIdx[label]; ok {
 		delete(s.queryIdx, label)
 		keepQ := s.queries[:0]

@@ -13,8 +13,8 @@ import (
 )
 
 // buildEngines constructs the engine panel for one query: the recursively
-// compiled engine over typed and untyped storage, the 3-shard parallel
-// engine, and the re-evaluating Volcano baseline as the semantic oracle.
+// compiled engine over typed and untyped storage, and the re-evaluating
+// Volcano baseline as the semantic oracle.
 func buildEngines(src string) ([]engine.Engine, func(), error) {
 	q, err := engine.Prepare(src, qgen.Catalog())
 	if err != nil {
@@ -28,13 +28,9 @@ func buildEngines(src string) ([]engine.Engine, func(), error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("untyped toaster: %w", err)
 	}
-	sharded, err := engine.NewShardedToaster(q, 3, runtime.Options{})
-	if err != nil {
-		return nil, nil, fmt.Errorf("sharded toaster: %w", err)
-	}
 	oracle := engine.NewNaive(q)
-	engines := []engine.Engine{typed, untyped, sharded, oracle}
-	closeFn := func() { sharded.Close() }
+	engines := []engine.Engine{typed, untyped, oracle}
+	closeFn := func() {}
 	// DBT_NATIVE_DIFF=1 additionally runs the generated-code engine in the
 	// panel — opt-in because every distinct query pays one `go build` on a
 	// cold cache, which the 220-seed sweep (and fuzzing) would multiply;
@@ -43,11 +39,10 @@ func buildEngines(src string) ([]engine.Engine, func(), error) {
 	if os.Getenv("DBT_NATIVE_DIFF") == "1" {
 		nat, err := engine.NewNativeToaster(q, native.ModeSubprocess)
 		if err != nil {
-			closeFn()
 			return nil, nil, fmt.Errorf("native toaster: %w", err)
 		}
 		engines = append(engines, nat)
-		closeFn = func() { sharded.Close(); nat.Close() }
+		closeFn = func() { nat.Close() }
 	}
 	return engines, closeFn, nil
 }

@@ -2,8 +2,8 @@
 // random event traces (inserts, deletes, and updates) over a fixed join
 // chain, for differential testing of the query engines: every generated
 // query must produce bitwise-identical results on the recursively compiled
-// engine (typed and untyped storage), the sharded engine, and the
-// re-evaluating Volcano baseline.
+// engine (typed and untyped storage) and the re-evaluating Volcano
+// baseline.
 //
 // The grammar spans the supported SQL surface: SUM/COUNT/AVG (and MIN/MAX
 // away from outer joins) over arithmetic arguments, comma joins, INNER and

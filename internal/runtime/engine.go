@@ -38,8 +38,7 @@ type Options struct {
 	// MetricsLabel scopes this engine's series inside a shared sink (e.g.
 	// the query name when one server hosts several engines). Engines that
 	// share a sink, a label, and map names also share gauges, so a
-	// (sink, label) pair should describe one logical engine — the sharded
-	// runtime exploits this to merge its workers' series.
+	// (sink, label) pair should describe one logical engine.
 	MetricsLabel string
 	// MapSource, when non-nil, supplies pre-built map instances at engine
 	// construction instead of fresh empty ones — the mechanism behind both
@@ -54,10 +53,6 @@ type Options struct {
 	// fresh map; a declined Transfer on a converged build is an error,
 	// since silently dropping its state would be data loss.
 	MapSource func(name string) SourcedMap
-	// worker marks engines owned by a sharded dispatcher: they record
-	// trigger and map series into the shared sink but not admission
-	// counts, which the dispatcher already counted.
-	worker bool
 }
 
 // SourcedMap is one MapSource offer; nil fields mean no candidate.
@@ -282,13 +277,7 @@ func newEngine(prog *ir.Program, opts Options, banned map[string]bool) (*Engine,
 			return nil, err
 		}
 		if e.sink != nil {
-			if opts.worker {
-				// Dispatcher-owned workers share series but must not feed
-				// the event total: the dispatcher counts admission.
-				ct.stats = e.sink.WorkerTrigger(opts.MetricsLabel, t.Relation, t.Insert)
-			} else {
-				ct.stats = e.sink.Trigger(opts.MetricsLabel, t.Relation, t.Insert)
-			}
+			ct.stats = e.sink.Trigger(opts.MetricsLabel, t.Relation, t.Insert)
 		}
 		e.triggers[triggerKey(t.Relation, t.Insert)] = ct
 		byRel := e.trigIns
@@ -480,8 +469,7 @@ func (e *Engine) fire(ct *compiledTrigger, args types.Tuple) (err error) {
 }
 
 // Event is one base-relation delta in the runtime's native form; batched
-// ingestion hands slices of these through the engines and the sharded
-// dispatcher.
+// ingestion hands slices of these through the engines.
 type Event struct {
 	Rel    string
 	Insert bool

@@ -77,9 +77,6 @@ import (
 
 // Options configures a Server.
 type Options struct {
-	// Shards selects the sharded runtime for every registered query
-	// (0 or 1 = the single-threaded engine).
-	Shards int
 	// Metrics supplies an external sink. Nil means the server creates its
 	// own (instrumentation is on by default — the network dwarfs its cost)
 	// unless NoMetrics is set.
@@ -120,8 +117,8 @@ type Options struct {
 	MaxPending int
 	// EngineBuilder overrides engine construction for registered queries
 	// (e.g. the supervised native-code engine). Nil selects the built-in
-	// Toaster (or ShardedToaster per Shards). Builder engines install
-	// as-is: no map sharing or rebuild-with-transfer.
+	// Toaster. Builder engines install as-is: no map sharing or
+	// rebuild-with-transfer.
 	EngineBuilder func(name string, q *engine.Query) (engine.CompiledEngine, error)
 }
 
@@ -130,7 +127,6 @@ type Options struct {
 type Server struct {
 	mu     sync.Mutex
 	cat    *schema.Catalog
-	shards int
 	sink   *metrics.Sink
 	reg    *engine.Registry
 	events uint64
@@ -170,21 +166,11 @@ func New(sqlText string, cat *schema.Catalog) (*Server, error) {
 	return NewWithOptions(sqlText, cat, Options{})
 }
 
-// NewSharded is New with the sharded runtime: every registered query runs
-// on a ShardedEngine with the given shard count (0 or 1 selects the
-// single-threaded engine).
-func NewSharded(sqlText string, cat *schema.Catalog, shards int) (*Server, error) {
-	return NewWithOptions(sqlText, cat, Options{Shards: shards})
-}
-
 // NewWithOptions compiles the initial query (registered as "main") with
 // full configuration.
 func NewWithOptions(sqlText string, cat *schema.Catalog, opts Options) (*Server, error) {
-	// Map sharing requires a single-threaded engine per query: adopted maps
-	// are read without synchronization against the owner's writes, which is
-	// safe only under the one-event-at-a-time fan-out.
 	s := &Server{
-		cat: cat, shards: opts.Shards, reg: engine.NewRegistry(opts.Shards <= 1),
+		cat: cat, reg: engine.NewRegistry(true),
 		maxPending: opts.MaxPending, maxConns: opts.MaxConns,
 		idleTimeout: opts.IdleTimeout, engineBuilder: opts.EngineBuilder,
 	}
@@ -242,8 +228,9 @@ func NewWithOptions(sqlText string, cat *schema.Catalog, opts Options) (*Server,
 	return s, nil
 }
 
-// closeEngines shuts down engines with worker goroutines; used on
-// constructor error paths where Close is never reached.
+// closeEngines shuts down engines holding resources (native child
+// processes); used on constructor error paths where Close is never
+// reached.
 func (s *Server) closeEngines() {
 	for _, name := range s.reg.Names() {
 		if eng, ok := s.reg.Get(name); ok {
@@ -282,15 +269,11 @@ func (s *Server) onQuarantine(name, reason string) uint64 {
 
 // buildEngine constructs the private (catch-up) engine for one query per
 // the server's configuration: the configured EngineBuilder when set,
-// otherwise the sharded or bare single-threaded Toaster. Bare Toasters are
-// rebuilt by Install with metrics and map sharing; everything else
-// installs as-is.
+// otherwise a bare Toaster, which Install rebuilds with metrics and map
+// sharing; builder engines install as-is.
 func (s *Server) buildEngine(name string, q *engine.Query) (engine.CompiledEngine, error) {
 	if s.engineBuilder != nil {
 		return s.engineBuilder(name, q)
-	}
-	if s.shards > 1 {
-		return engine.NewShardedToaster(q, s.shards, runtime.Options{Metrics: s.sink, MetricsLabel: name})
 	}
 	return engine.NewToaster(q, runtime.Options{NoMetrics: true})
 }
@@ -484,7 +467,8 @@ func (s *Server) Listen(addr string) (string, error) {
 }
 
 // Close stops the listener, waits for connections to drain, stops the
-// group-commit stage, and shuts down any engines with worker goroutines.
+// group-commit stage, and shuts down any engines holding resources
+// (native child processes).
 func (s *Server) Close() error {
 	var err error
 	if s.ln != nil {

@@ -37,9 +37,6 @@ func faultVariants() []faultVariant {
 		{"generic", func(q *engine.Query) (engine.Engine, error) {
 			return engine.NewToaster(q, runtime.Options{NoTypedStorage: true})
 		}},
-		{"sharded-3", func(q *engine.Query) (engine.Engine, error) {
-			return engine.NewShardedToaster(q, 3, runtime.Options{})
-		}},
 	}
 }
 

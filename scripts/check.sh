@@ -1,7 +1,7 @@
 #!/bin/sh
 # Tier-1 verification: build, vet, tests, then the same tests under the
 # race detector. The race step is a separate stage so a data race in the
-# sharded runtime fails loudly rather than flaking.
+# server's committer or its clients fails loudly rather than flaking.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -22,14 +22,13 @@ echo "== metrics overhead smoke ==" && sh scripts/metrics_smoke.sh
 echo "== crash recovery ==" && go test ./internal/wal/ -run 'TestCrashRecoveryFaultMatrix|TestDoubleCrashRecovery' -count=1
 bash scripts/crash_smoke.sh
 
-# Pipeline smoke at real parallelism: the concurrent-producer and
-# group-commit paths (SPSC rings, sticky errors, WAL group commit) with
-# GOMAXPROCS forced to at least 4, so ring parking, producer stalls, and
-# commit coalescing run multi-core even when the default would be 1.
+# Pipeline smoke at real parallelism: WAL group commit and concurrent
+# clients against one server, and batched registry fan-out with shared
+# maps, with GOMAXPROCS forced to at least 4 so commit coalescing and
+# client interleaving run multi-core even when the default would be 1.
 echo "== pipeline smoke (GOMAXPROCS=4) ==" && GOMAXPROCS=4 go test -race -count=1 \
-    -run 'TestConcurrentProducers|TestStickyError|TestShardedMatchesSingleThreaded' ./internal/runtime/
-GOMAXPROCS=4 go test -race -count=1 -run 'TestConcurrentBatchesGroupCommitAndRecover' ./internal/server/
-GOMAXPROCS=4 go test -run xxx -bench '^BenchmarkShardScaling/' -benchtime 100x .
+    -run 'TestConcurrentBatchesGroupCommitAndRecover|TestServerConcurrentClients' ./internal/server/
+GOMAXPROCS=4 go test -race -count=1 -run 'TestRegistryBatchedSharingMatchesPerEvent' ./internal/engine/
 
 # Registry smoke: the dynamic-query lifecycle gates — hot-swap
 # registration against a live producer (differential vs boot-time
@@ -48,7 +47,7 @@ BENCHTIME=100x SUITE=native OUT="${TMPDIR:-/tmp}/BENCH_native_smoke.json" sh scr
 
 # Qgen differential + fuzz smoke: seeded random queries over the widened
 # SQL surface (AVG, EXISTS/IN, LEFT OUTER JOIN) must agree bitwise across
-# the typed, generic, and sharded engines and the re-evaluating oracle,
+# the typed and generic engines and the re-evaluating oracle,
 # then a short coverage-guided pass over the seed space.
 echo "== qgen differential smoke ==" && go test ./internal/qgen/ -run 'TestQgenDifferential|TestQgenAlwaysCompiles' -short -count=1
 echo "== qgen fuzz smoke ==" && go test ./internal/qgen/ -run xxx -fuzz FuzzQueryAgreement -fuzztime 10s
