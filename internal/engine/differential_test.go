@@ -11,12 +11,13 @@ import (
 	"dbtoaster/internal/types"
 )
 
-// TestDifferentialProperty is the engines' correctness net: ≥100 random
-// query/stream pairs (reusing the random-query generator from
+// TestShardedDifferentialProperty is the engines' correctness net: ≥100
+// random query/stream pairs (reusing the random-query generator from
 // fuzz_test.go) driven through Toaster, Naive, and FirstOrderIVM, with
 // delete-heavy and update (delete/insert pair) phases, requiring exact
-// Result agreement mid-stream and at the end.
-func TestDifferentialProperty(t *testing.T) {
+// Result agreement mid-stream and at the end. The name dates from when
+// the test also drove the removed sharded runtime.
+func TestShardedDifferentialProperty(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}

@@ -149,6 +149,46 @@ func TestMetricsZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
+// TestMetricsSharded: events delivered through OnEventBatch are counted
+// once each by the ingest counter, and the map entry gauges account for
+// every result group. (The name dates from when this test drove the
+// removed sharded runtime.)
+func TestMetricsSharded(t *testing.T) {
+	cat := schema.NewCatalog(schema.NewRelation("r", "a:int", "b:int"))
+	q, err := Prepare("select a, sum(b) from r group by a", cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := metrics.New()
+	e, err := NewToaster(q, runtime.Options{Metrics: sink, MetricsLabel: "batch"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 500
+	evs := make([]stream.Event, 0, n)
+	for i := 0; i < n; i++ {
+		evs = append(evs, stream.Ins("r", types.NewInt(int64(i%16)), types.NewInt(1)))
+	}
+	for _, chunk := range stream.Batches(evs, 64) {
+		if err := e.OnEventBatch(chunk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := sink.Snapshot()
+	if snap.Events != n {
+		t.Errorf("ingested = %d, want %d", snap.Events, n)
+	}
+	var entries int64
+	for _, m := range snap.Maps {
+		entries += m.Entries
+	}
+	// 16 groups are live (plus any auxiliary map entries); the gauges
+	// must at least account for the result groups.
+	if entries < 16 {
+		t.Errorf("map entry gauges sum to %d, want >= 16", entries)
+	}
+}
+
 // TestMetricsDisabledIsInert: NoMetrics wins over a provided sink — no
 // series appear and nothing is counted.
 func TestMetricsDisabledIsInert(t *testing.T) {

@@ -254,6 +254,48 @@ func TestServerReset(t *testing.T) {
 	}
 }
 
+// TestServerShardedCheckpointRecover checkpoints a group-by query after
+// 20 inserts, appends a 10-event tail that updates every group, and
+// requires the recovered server to return the pre-crash rows. (The name
+// dates from when this test ran on the removed sharded runtime.)
+func TestServerShardedCheckpointRecover(t *testing.T) {
+	dir := t.TempDir()
+	sql := "select B, sum(A) from R group by B"
+	_, c := startDurable(t, sql, Options{WALDir: dir})
+	for i := 0; i < 20; i++ {
+		if err := c.Insert("R", types.NewInt(int64(i)), types.NewInt(int64(i%4))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := c.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		if err := c.Insert("R", types.NewInt(int64(i)), types.NewInt(int64(i%4))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, wantRows, err := c.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+
+	_, c2 := startDurable(t, sql, Options{WALDir: dir, Recover: true})
+	_, gotRows, err := c2.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(gotRows) != len(wantRows) {
+		t.Fatalf("recovered rows %v, want %v", gotRows, wantRows)
+	}
+	for i := range wantRows {
+		if strings.Join(gotRows[i], "|") != strings.Join(wantRows[i], "|") {
+			t.Fatalf("recovered rows %v, want %v", gotRows, wantRows)
+		}
+	}
+}
+
 // TestServerRecoverAuxiliaryMaps runs the durability loop on a query
 // combining AVG (sum/count component pair) and a correlated EXISTS
 // (auxiliary witness-count maps): checkpoint, post-checkpoint tail with

@@ -263,6 +263,75 @@ func TestParseValue(t *testing.T) {
 	}
 }
 
+// TestServerSharded drives one group-by query through inserts, a delete,
+// STATS and a mid-stream REGISTER, then disconnects and requires a clean
+// Close. (The name dates from when this test ran on the removed sharded
+// runtime.)
+func TestServerSharded(t *testing.T) {
+	cat := schema.NewCatalog(
+		schema.NewRelation("R", "A:int", "B:int"),
+	)
+	s, err := New("select B, sum(A) from R group by B", cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := s.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := 0; i < 50; i++ {
+		if err := c.Insert("R", types.NewInt(int64(i)), types.NewInt(int64(i%5))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Delete("R", types.NewInt(0), types.NewInt(0)); err != nil {
+		t.Fatal(err)
+	}
+	cols, rows, err := c.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cols) != 2 || len(rows) != 5 {
+		t.Fatalf("cols=%v rows=%v", cols, rows)
+	}
+	// Group 0 holds A = 0,5,...,45; deleting (0,0) leaves the sum at 225.
+	if rows[0][0] != "0" || rows[0][1] != "225" {
+		t.Errorf("group 0 row = %v", rows[0])
+	}
+	events, entries, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if events != 51 || entries == 0 {
+		t.Errorf("stats = %d events, %d entries", events, entries)
+	}
+	if err := c.Register("second", "select sum(A) from R"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Insert("R", types.NewInt(7), types.NewInt(2)); err != nil {
+		t.Fatal(err)
+	}
+	if _, rows, err = c.ResultOf("second"); err != nil {
+		t.Fatal(err)
+	} else if len(rows) != 1 || rows[0][0] != "7" {
+		t.Errorf("second query rows = %v", rows)
+	}
+	// Close waits for connections to drain, so disconnect first.
+	if err := c.Quit(); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestServerIngestFault sends protocol lines whose literals contradict the
 // schema (string into an int column) and asserts the full chain survives:
 // the command yields ERR, the connection stays usable, and the engine keeps
