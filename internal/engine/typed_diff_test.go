@@ -12,8 +12,8 @@ import (
 )
 
 // mapState snapshots every view map of a runtime engine as encoded-key →
-// accumulated value, the ground truth the typed and generic physical
-// layers must agree on entry for entry.
+// accumulated value, the ground truth the interpreter and the typed and
+// generic physical layers must agree on entry for entry.
 func mapState(rt *runtime.Engine) map[string]float64 {
 	out := map[string]float64{}
 	var buf []byte
@@ -91,11 +91,74 @@ func typedDiffQueries() (*schema.Catalog, []string) {
 	}
 }
 
-// TestTypedGenericDifferential pins the typed physical layer to the
-// generic one: for every query in the lineup and a set of random streams,
-// the typed engine (packed maps, unboxed kernels), the generic engine
-// (Options.NoTypedStorage) must produce identical results and agree on
-// the full map state, entry for entry, bitwise.
+// typedDiffPanel lists the engines every typed differential runs side by
+// side. The boxed IR interpreter comes first: it is the reference the
+// typed engine (packed maps, unboxed kernels) and the generic ablation
+// (Options.NoTypedStorage, the same trigger compiler forced to generic
+// maps and boxed closures) must both match.
+var typedDiffPanel = []struct {
+	name string
+	opts runtime.Options
+}{
+	{"interpreter", runtime.Options{Interpret: true}},
+	{"typed", runtime.Options{}},
+	{"generic", runtime.Options{NoTypedStorage: true}},
+}
+
+// newTypedDiffPanel builds one Toaster per typedDiffPanel entry.
+func newTypedDiffPanel(q *Query) ([]*Toaster, error) {
+	out := make([]*Toaster, len(typedDiffPanel))
+	for i, p := range typedDiffPanel {
+		tt, err := NewToaster(q, p.opts)
+		if err != nil {
+			return nil, fmt.Errorf("%s toaster: %w", p.name, err)
+		}
+		out[i] = tt
+	}
+	return out, nil
+}
+
+// feedTypedDiffPanel applies one event to every engine of the panel.
+func feedTypedDiffPanel(panel []*Toaster, ev stream.Event) error {
+	for i, tt := range panel {
+		if err := tt.OnEvent(ev); err != nil {
+			return fmt.Errorf("%s OnEvent: %w", typedDiffPanel[i].name, err)
+		}
+	}
+	return nil
+}
+
+// checkTypedDiffPanel requires every engine to match the reference
+// (panel[0]) on the full map state, entry for entry, bitwise, and on
+// results; the error describes the first disagreement.
+func checkTypedDiffPanel(panel []*Toaster) error {
+	refState := mapState(panel[0].Runtime())
+	ref, err := panel[0].Results()
+	if err != nil {
+		return fmt.Errorf("%s results: %w", typedDiffPanel[0].name, err)
+	}
+	for i, tt := range panel[1:] {
+		name := typedDiffPanel[i+1].name
+		if d := diffMapStates(refState, mapState(tt.Runtime())); d != "" {
+			return fmt.Errorf("%s map state diverges: %s", name, d)
+		}
+		got, err := tt.Results()
+		if err != nil {
+			return fmt.Errorf("%s results: %w", name, err)
+		}
+		if !ref.Equal(got) {
+			return fmt.Errorf("%s results diverge\nref:\n%s\ngot:\n%s", name, ref, got)
+		}
+	}
+	return nil
+}
+
+// TestTypedGenericDifferential pins the typed physical layer and the
+// generic ablation to the boxed interpreter: for every query in the
+// lineup and a set of random streams, the typed engine (packed maps,
+// unboxed kernels), the generic engine (Options.NoTypedStorage) and the
+// interpreter (Options.Interpret) must produce identical results and agree
+// on the full map state, entry for entry, bitwise.
 func TestTypedGenericDifferential(t *testing.T) {
 	cat, queries := typedDiffQueries()
 	rels := []string{"T0", "T1"}
@@ -109,35 +172,17 @@ func TestTypedGenericDifferential(t *testing.T) {
 				r := rand.New(rand.NewSource(int64(7000 + 100*qi + trial)))
 				events := typedDiffStream(r, rels, 250)
 
-				typed, err := NewToaster(q, runtime.Options{})
+				panel, err := newTypedDiffPanel(q)
 				if err != nil {
-					t.Fatalf("typed toaster: %v", err)
-				}
-				generic, err := NewToaster(q, runtime.Options{NoTypedStorage: true})
-				if err != nil {
-					t.Fatalf("generic toaster: %v", err)
+					t.Fatal(err)
 				}
 				for _, ev := range events {
-					if err := typed.OnEvent(ev); err != nil {
-						t.Fatalf("typed OnEvent: %v", err)
-					}
-					if err := generic.OnEvent(ev); err != nil {
-						t.Fatalf("generic OnEvent: %v", err)
+					if err := feedTypedDiffPanel(panel, ev); err != nil {
+						t.Fatal(err)
 					}
 				}
-				if d := diffMapStates(mapState(generic.Runtime()), mapState(typed.Runtime())); d != "" {
-					t.Fatalf("%q trial %d: typed map state diverges: %s", src, trial, d)
-				}
-				ref, err := generic.Results()
-				if err != nil {
-					t.Fatalf("generic results: %v", err)
-				}
-				got, err := typed.Results()
-				if err != nil {
-					t.Fatalf("typed results: %v", err)
-				}
-				if !ref.Equal(got) {
-					t.Fatalf("%q trial %d: typed results diverge\nref:\n%s\ngot:\n%s", src, trial, ref, got)
+				if err := checkTypedDiffPanel(panel); err != nil {
+					t.Fatalf("%q trial %d: %v", src, trial, err)
 				}
 			}
 		})
@@ -145,10 +190,10 @@ func TestTypedGenericDifferential(t *testing.T) {
 }
 
 // FuzzTypedGenericAgreement drives fuzzer-chosen insert/delete/update
-// streams through the typed and generic engines and requires the full map
-// states to match exactly. Each byte triple encodes one operation:
-// (op/relation selector, key byte, value byte); deletes replay a prior
-// insert so multiplicities go negative-and-back the same way real
+// streams through the interpreter, typed and generic engines and requires
+// the full map states to match exactly. Each byte triple encodes one
+// operation: (op/relation selector, key byte, value byte); deletes replay
+// a prior insert so multiplicities go negative-and-back the same way real
 // retraction streams do.
 func FuzzTypedGenericAgreement(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 128, 9, 9})
@@ -170,13 +215,9 @@ func FuzzTypedGenericAgreement(f *testing.F) {
 			return
 		}
 		q := prepared[int(data[0])%len(prepared)]
-		typed, err := NewToaster(q, runtime.Options{})
+		panel, err := newTypedDiffPanel(q)
 		if err != nil {
-			t.Fatalf("typed toaster: %v", err)
-		}
-		generic, err := NewToaster(q, runtime.Options{NoTypedStorage: true})
-		if err != nil {
-			t.Fatalf("generic toaster: %v", err)
+			t.Fatal(err)
 		}
 		var history []stream.Event
 		for i := 1; i+2 < len(data); i += 3 {
@@ -197,26 +238,12 @@ func FuzzTypedGenericAgreement(f *testing.F) {
 				}}
 				history = append(history, ev)
 			}
-			if err := typed.OnEvent(ev); err != nil {
-				t.Fatalf("typed OnEvent: %v", err)
-			}
-			if err := generic.OnEvent(ev); err != nil {
-				t.Fatalf("generic OnEvent: %v", err)
+			if err := feedTypedDiffPanel(panel, ev); err != nil {
+				t.Fatal(err)
 			}
 		}
-		if d := diffMapStates(mapState(generic.Runtime()), mapState(typed.Runtime())); d != "" {
-			t.Fatalf("typed map state diverges: %s", d)
-		}
-		ref, err := generic.Results()
-		if err != nil {
-			t.Fatalf("generic results: %v", err)
-		}
-		got, err := typed.Results()
-		if err != nil {
-			t.Fatalf("typed results: %v", err)
-		}
-		if !ref.Equal(got) {
-			t.Fatalf("typed results diverge\nref:\n%s\ngot:\n%s", ref, got)
+		if err := checkTypedDiffPanel(panel); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

@@ -53,7 +53,7 @@ type MapDecl struct {
 	// ValueKind is the inferred kind of the aggregate value: KindInt when
 	// every contribution to the sum is integral, KindFloat otherwise,
 	// KindNull on untyped programs. Storage accumulates in float64 either
-	// way (lookups read as float, matching the generic engine); the
+	// way (lookups read as float, matching the boxed interpreter); the
 	// annotation types generated code and result rendering.
 	ValueKind types.Kind
 }

@@ -52,14 +52,36 @@ func (s *Snapshot) WritePrometheus(w io.Writer) {
 			fmt.Fprintf(w, "dbt_map_approx_bytes{%s} %d\n", mapLabels(m), m.ApproxBytes)
 		}
 	}
+	// WAL and robustness series are named dbt_<section>_<json field>, with
+	// _total on counters, so every JSON field has exactly one series.
 	if d := s.WAL; d != nil {
-		fmt.Fprintf(w, "# TYPE dbt_wal_appends_total counter\ndbt_wal_appends_total %d\n", d.Appends)
-		fmt.Fprintf(w, "# TYPE dbt_wal_appended_bytes_total counter\ndbt_wal_appended_bytes_total %d\n", d.AppendedBytes)
-		fmt.Fprintf(w, "# TYPE dbt_wal_syncs_total counter\ndbt_wal_syncs_total %d\n", d.Syncs)
-		fmt.Fprintf(w, "# TYPE dbt_wal_group_commits_total counter\ndbt_wal_group_commits_total %d\n", d.GroupCommits)
+		writePromCounter(w, "dbt_wal_appends_total", d.Appends)
+		writePromCounter(w, "dbt_wal_appended_bytes_total", d.AppendedBytes)
+		writePromCounter(w, "dbt_wal_syncs_total", d.Syncs)
+		fmt.Fprintf(w, "# TYPE dbt_wal_sync_ns histogram\n")
+		writePromHistogram(w, "dbt_wal_sync_ns", `stage="sync"`, d.SyncNs)
+		writePromCounter(w, "dbt_wal_checkpoints_total", d.Checkpoints)
+		fmt.Fprintf(w, "# TYPE dbt_wal_checkpoint_ns histogram\n")
+		writePromHistogram(w, "dbt_wal_checkpoint_ns", `stage="checkpoint"`, d.CheckpointNs)
+		writePromCounter(w, "dbt_wal_checkpoint_bytes_total", d.CheckpointBytes)
+		writePromCounter(w, "dbt_wal_recoveries_total", d.Recoveries)
+		writePromCounter(w, "dbt_wal_replayed_records_total", d.ReplayedRecords)
+		writePromCounter(w, "dbt_wal_group_commits_total", d.GroupCommits)
 		fmt.Fprintf(w, "# TYPE dbt_wal_group_size histogram\n")
 		writePromHistogram(w, "dbt_wal_group_size", `stage="commit"`, d.GroupSize)
 	}
+	if r := s.Robust; r != nil {
+		writePromCounter(w, "dbt_robust_shed_requests_total", r.ShedRequests)
+		writePromCounter(w, "dbt_robust_shed_events_total", r.ShedEvents)
+		writePromCounter(w, "dbt_robust_conn_rejects_total", r.ConnRejects)
+		writePromCounter(w, "dbt_robust_idle_closes_total", r.IdleCloses)
+		writePromCounter(w, "dbt_robust_quarantines_total", r.Quarantines)
+		writePromCounter(w, "dbt_robust_native_restarts_total", r.NativeRestarts)
+	}
+}
+
+func writePromCounter(w io.Writer, name string, v uint64) {
+	fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", name, name, v)
 }
 
 // Label values are rendered with %q: Go's quoting escapes the backslash,

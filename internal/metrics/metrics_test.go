@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -238,6 +239,100 @@ func TestWritePrometheus(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("prometheus output missing %q in:\n%s", want, out)
+		}
+	}
+}
+
+// TestPrometheusCoversWALAndRobust walks the JSON fields of WALSnapshot
+// and RobustSnapshot and requires a dbt_<section>_<field> series for each:
+// counters as <name>_total carrying the JSON value, histograms as a
+// histogram family whose _count matches. Every source series is set to a
+// distinct non-zero value so a miswired field shows up as a wrong number.
+func TestPrometheusCoversWALAndRobust(t *testing.T) {
+	s := New()
+	for _, stats := range []any{s.WAL(), s.Robust()} {
+		v := reflect.ValueOf(stats).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			switch f := v.Field(i).Addr().Interface().(type) {
+			case *Counter:
+				f.Add(uint64(100 + i))
+			case *Histogram:
+				for n := 0; n <= i; n++ {
+					f.Observe(int64(1000 * (n + 1)))
+				}
+			default:
+				t.Fatalf("%s field %s: unhandled type %T", v.Type(), v.Type().Field(i).Name, f)
+			}
+		}
+	}
+	snap := s.Snapshot()
+	var b strings.Builder
+	snap.WritePrometheus(&b)
+	out := b.String()
+	// Sample name (labels dropped) → value, plus the declared families.
+	samples := map[string]string{}
+	types := map[string]string{}
+	for _, line := range strings.Split(out, "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			types[f[2]] = f[3]
+			continue
+		}
+		f := strings.Fields(line)
+		if len(f) != 2 {
+			continue
+		}
+		name := f[0]
+		if i := strings.IndexByte(name, '{'); i >= 0 {
+			name = name[:i]
+		}
+		samples[name] = f[1]
+	}
+	raw, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sections struct {
+		WAL    map[string]json.RawMessage `json:"wal"`
+		Robust map[string]json.RawMessage `json:"robust"`
+	}
+	if err := json.Unmarshal(raw, &sections); err != nil {
+		t.Fatal(err)
+	}
+	for _, sec := range []struct {
+		name   string
+		typ    reflect.Type
+		fields map[string]json.RawMessage
+	}{
+		{"wal", reflect.TypeOf(WALSnapshot{}), sections.WAL},
+		{"robust", reflect.TypeOf(RobustSnapshot{}), sections.Robust},
+	} {
+		for i := 0; i < sec.typ.NumField(); i++ {
+			field := strings.Split(sec.typ.Field(i).Tag.Get("json"), ",")[0]
+			val, ok := sec.fields[field]
+			if !ok {
+				t.Fatalf("%s.%s missing from JSON", sec.name, field)
+			}
+			base := "dbt_" + sec.name + "_" + field
+			if sec.typ.Field(i).Type == reflect.TypeOf(HistogramSnapshot{}) {
+				var h HistogramSnapshot
+				if err := json.Unmarshal(val, &h); err != nil {
+					t.Fatal(err)
+				}
+				if types[base] != "histogram" {
+					t.Errorf("%s.%s: no histogram family %s", sec.name, field, base)
+				}
+				if got, want := samples[base+"_count"], fmt.Sprint(h.Count); got != want {
+					t.Errorf("%s_count = %q, want %s", base, got, want)
+				}
+				continue
+			}
+			name := base + "_total"
+			if types[name] != "counter" {
+				t.Errorf("%s.%s: no counter family %s", sec.name, field, name)
+			}
+			if got := samples[name]; got != string(val) {
+				t.Errorf("%s = %q, want %s", name, got, val)
+			}
 		}
 	}
 }

@@ -13,8 +13,9 @@ import (
 )
 
 // buildEngines constructs the engine panel for one query: the recursively
-// compiled engine over typed and untyped storage, and the re-evaluating
-// Volcano baseline as the semantic oracle.
+// compiled engine over typed and untyped storage, the same trigger program
+// run by the boxed IR interpreter, and the re-evaluating Volcano baseline
+// as the semantic oracle.
 func buildEngines(src string) ([]engine.Engine, func(), error) {
 	q, err := engine.Prepare(src, qgen.Catalog())
 	if err != nil {
@@ -28,8 +29,12 @@ func buildEngines(src string) ([]engine.Engine, func(), error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("untyped toaster: %w", err)
 	}
+	interp, err := engine.NewToaster(q, runtime.Options{Interpret: true})
+	if err != nil {
+		return nil, nil, fmt.Errorf("interpreted toaster: %w", err)
+	}
 	oracle := engine.NewNaive(q)
-	engines := []engine.Engine{typed, untyped, oracle}
+	engines := []engine.Engine{typed, untyped, interp, oracle}
 	closeFn := func() {}
 	// DBT_NATIVE_DIFF=1 additionally runs the generated-code engine in the
 	// panel — opt-in because every distinct query pays one `go build` on a

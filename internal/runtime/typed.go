@@ -1,14 +1,19 @@
 package runtime
 
-// Typed (unboxed) closure compilation: the physical counterpart of the IR
-// typing pass (ir.InferTypes). Statements compile into kernels whose
+// Trigger compilation: every (relation, event) trigger compiles to
+// closures over the engine's maps. This is the physical counterpart of the
+// IR typing pass (ir.InferTypes). Statements compile into kernels whose
 // steady-state arithmetic, comparisons, and map probes run on native
 // int64/float64 — types.Value boxing and Kind dispatch survive only where
 // the annotations cannot prove a type (strings, unknown kinds, nullable
 // integer division), where the compiler transparently falls back to the
-// boxed forms with identical semantics.
+// boxed forms with identical semantics. When packed storage is not allowed
+// (Options.NoTypedStorage, or an interpreting build whose closures only
+// supply admission checks), every map is generic, parameters are only
+// validated, and every expression is forced to the boxed class.
 //
-// Parity with the generic engine is exact, by construction:
+// Parity with the boxed IR interpreter (interpExpr) is exact, by
+// construction:
 //
 //   - int kernels use Go's wrapping int64 arithmetic, as types.arith does;
 //   - float kernels represent SQL NULL as NaN: types.NewFloat normalizes
@@ -54,23 +59,28 @@ const (
 )
 
 type (
+	valFn   func(*cenv) types.Value
 	intFn   func(*cenv) int64
 	floatFn func(*cenv) float64
 	boolFn  func(*cenv) bool
 )
 
-// texpr is a compiled typed-mode expression: exactly one of ifn/ffn/vfn is
+// texpr is a compiled expression: exactly one of ifn/ffn/vfn is
 // set, per cls.
 type texpr struct {
 	cls cls
 	ifn intFn
 	ffn floatFn
 	vfn valFn
+	// slot is 1 + the boxed slot index when the expression is a plain
+	// boxed variable read (0 otherwise), so key fills can copy the slot
+	// instead of calling vfn.
+	slot int
 }
 
 // box converts to the boxed representation. Reboxing is exact: ints box to
 // KindInt, floats through NewFloat (NaN back to Null), so a reboxed value
-// is indistinguishable from what the generic engine computes.
+// is indistinguishable from what the interpreter computes.
 func (t texpr) box() valFn {
 	switch t.cls {
 	case clsInt:
@@ -85,8 +95,8 @@ func (t texpr) box() valFn {
 }
 
 // asFloat converts a numeric typed expression to its float kernel. Int
-// conversion matches the generic engine, which funnels the same value
-// through Value.Float() at the same point.
+// conversion matches the interpreter, which funnels the same value through
+// Value.Float() at the same point.
 func (t texpr) asFloat() floatFn {
 	switch t.cls {
 	case clsInt:
@@ -96,7 +106,7 @@ func (t texpr) asFloat() floatFn {
 		return t.ffn
 	default:
 		// Boxed numeric: Value.Float() maps Null to 0, which is only
-		// correct where the generic engine applies the same conversion
+		// correct where the interpreter applies the same conversion
 		// (statement deltas); arithmetic operands never take this path.
 		f := t.vfn
 		return func(env *cenv) float64 { return f(env).Float() }
@@ -207,12 +217,14 @@ func provablyInt(e ir.Expr, intVars map[string]bool) bool {
 	return false
 }
 
-// compileTriggerTyped is the typed-mode counterpart of compileTrigger:
-// boxed slots are laid out identically (params first, per-statement loop
-// variables above), and parameters with known numeric kinds additionally
-// get unboxed int/float slots filled — after a kind check — at event entry.
-func (e *Engine) compileTriggerTyped(t *ir.Trigger) (*compiledTrigger, error) {
+// compileTrigger compiles one trigger. Boxed slots hold the parameters
+// first, per-statement loop variables above them. With packed storage
+// allowed, parameters with known numeric kinds additionally get unboxed
+// int/float slots filled — after a kind check — at event entry; otherwise
+// every declared kind is only validated.
+func (e *Engine) compileTrigger(t *ir.Trigger) (*compiledTrigger, error) {
 	ct := &compiledTrigger{trig: t, ienv: make(map[string]types.Value)}
+	boxed := !e.opts.packed()
 	slots := map[string]int{}
 	for i, p := range t.Params {
 		slots[p] = i
@@ -224,21 +236,19 @@ func (e *Engine) compileTriggerTyped(t *ir.Trigger) (*compiledTrigger, error) {
 		if i < len(t.ParamKinds) {
 			k = t.ParamKinds[i]
 		}
-		switch k {
-		case types.KindInt:
+		switch {
+		case k == types.KindInt && !boxed:
 			ptslots[p] = tslot{cls: clsInt, idx: nInt}
 			ct.checks = append(ct.checks, paramCheck{arg: i, kind: k, slot: nInt})
 			nInt++
-		case types.KindFloat:
+		case k == types.KindFloat && !boxed:
 			ptslots[p] = tslot{cls: clsFloat, idx: nFloat}
 			ct.checks = append(ct.checks, paramCheck{arg: i, kind: k, slot: nFloat})
 			nFloat++
-		default:
-			// Non-numeric declared kinds stay boxed but are still validated
-			// at admission (slot -1), matching the generic engine.
-			if k != types.KindNull {
-				ct.checks = append(ct.checks, paramCheck{arg: i, kind: k, slot: -1})
-			}
+		case k != types.KindNull:
+			// Other declared kinds (all of them in boxed mode) stay boxed
+			// but are still validated at admission (slot -1).
+			ct.checks = append(ct.checks, paramCheck{arg: i, kind: k, slot: -1})
 		}
 	}
 	maxInt, maxFloat, maxSlots := nInt, nFloat, len(t.Params)
@@ -267,7 +277,7 @@ func (e *Engine) compileTriggerTyped(t *ir.Trigger) (*compiledTrigger, error) {
 		for k, v := range ptslots {
 			ltslots[k] = v
 		}
-		tc := &tcompiler{e: e, slots: local, tslots: ltslots, nInt: nInt, nFloat: nFloat, demote: e.demote}
+		tc := &tcompiler{e: e, boxed: boxed, slots: local, tslots: ltslots, nInt: nInt, nFloat: nFloat, demote: e.demote}
 		fn, err := tc.compileStmt(s)
 		if err != nil {
 			return nil, err
@@ -294,13 +304,13 @@ func (e *Engine) compileTriggerTyped(t *ir.Trigger) (*compiledTrigger, error) {
 		ints:   make([]int64, maxInt),
 		floats: make([]float64, maxFloat),
 	}
-	ct.slots = slots
 	return ct, nil
 }
 
-// tcompiler compiles one statement in typed mode.
+// tcompiler compiles one statement.
 type tcompiler struct {
 	e      *Engine
+	boxed  bool             // force every expression to clsBoxed
 	slots  map[string]int   // boxed slots (params, generic loop vars, boxed lets)
 	tslots map[string]tslot // typed slots (params, typed loop vars, typed lets)
 	nInt   int              // next free int slot
@@ -453,7 +463,7 @@ func (tc *tcompiler) compileStmt(s *ir.Stmt) (stmtFn, error) {
 		if cond != nil && !cond(env) {
 			return
 		}
-		// NaN is the float kernels' NULL; the generic engine converts a
+		// NaN is the float kernels' NULL; the interpreter converts a
 		// Null delta to 0 (Value.Float) and skips it, so both guards drop
 		// exactly the same updates.
 		d := delta(env)
@@ -523,19 +533,35 @@ func (tc *tcompiler) compileUpdate(target *Map, keys []texpr) (func(*cenv, float
 			target.addIN(k, d)
 		}, nil
 	}
-	fillers := make([]valFn, len(keys))
-	for i, k := range keys {
-		fillers[i] = k.box()
-	}
+	fill := boxedFill(keys)
 	key := make(types.Tuple, len(keys))
 	var kbuf []byte
 	return func(env *cenv, d float64) {
-		for i, f := range fillers {
-			key[i] = f(env)
-		}
+		fill(env, key)
 		kbuf = types.AppendKey(kbuf[:0], key)
 		target.AddKey(kbuf, key, d)
 	}, nil
+}
+
+// boxedFill builds the filler for a boxed key (or bound) tuple: plain
+// boxed variable reads copy their slot, everything else calls its boxed
+// closure.
+func boxedFill(xs []texpr) func(env *cenv, dst types.Tuple) {
+	slots := make([]int, len(xs))
+	fns := make([]valFn, len(xs))
+	for i, x := range xs {
+		slots[i] = x.slot - 1
+		fns[i] = x.box()
+	}
+	return func(env *cenv, dst types.Tuple) {
+		for i, s := range slots {
+			if s >= 0 {
+				dst[i] = env.slots[s]
+			} else {
+				dst[i] = fns[i](env)
+			}
+		}
+	}
 }
 
 // compileLoop wraps body in the iteration kernel for one loop level.
@@ -783,11 +809,8 @@ func (tc *tcompiler) compileLoopGeneric(m *Map, lp ir.Loop, pos []int, bounds []
 		}
 		valSlot = s.idx
 	}
-	boundFns := make([]valFn, len(bounds))
-	for i, b := range bounds {
-		boundFns[i] = b.box()
-	}
-	bound := make(types.Tuple, len(boundFns))
+	fill := boxedFill(bounds)
+	bound := make(types.Tuple, len(bounds))
 	var curEnv *cenv
 	visit := func(t types.Tuple, v float64) {
 		for _, fs := range frees {
@@ -808,9 +831,7 @@ func (tc *tcompiler) compileLoopGeneric(m *Map, lp ir.Loop, pos []int, bounds []
 		slice := m.EnsureSlice(pos)
 		return func(env *cenv) {
 			curEnv = env
-			for i, fn := range boundFns {
-				bound[i] = fn(env)
-			}
+			fill(env, bound)
 			slice.Iterate(bound, visit)
 		}, nil
 	}
@@ -824,20 +845,33 @@ func (tc *tcompiler) compileLoopGeneric(m *Map, lp ir.Loop, pos []int, bounds []
 	}
 	return func(env *cenv) {
 		curEnv = env
-		for i, fn := range boundFns {
-			bound[i] = fn(env)
-		}
+		fill(env, bound)
 		m.Scan(scanVisit)
 	}, nil
 }
 
 // compileExpr compiles one expression, choosing the strongest class the
-// annotations support and falling back to the boxed generic forms (types
-// arithmetic, CmpOp.Eval) whenever they do not.
+// annotations support and falling back to the boxed forms (types
+// arithmetic, CmpOp.Eval) whenever they do not. A boxed compiler forces
+// every result to clsBoxed: constants, lookups and comparisons emit boxed
+// closures directly, and the rebox here covers the rest (loop values,
+// which still land in float slots).
 func (tc *tcompiler) compileExpr(x ir.Expr) (texpr, error) {
+	t, err := tc.compileClass(x)
+	if err != nil || !tc.boxed || t.cls == clsBoxed {
+		return t, err
+	}
+	return texpr{cls: clsBoxed, vfn: t.box()}, nil
+}
+
+// compileClass is compileExpr before the boxed-mode rebox.
+func (tc *tcompiler) compileClass(x ir.Expr) (texpr, error) {
 	switch x := x.(type) {
 	case *ir.Const:
 		v := x.Value
+		if tc.boxed {
+			return texpr{cls: clsBoxed, vfn: func(*cenv) types.Value { return v }}, nil
+		}
 		switch v.Kind() {
 		case types.KindInt:
 			i := v.Int()
@@ -859,7 +893,7 @@ func (tc *tcompiler) compileExpr(x ir.Expr) (texpr, error) {
 		if !ok {
 			return texpr{}, fmt.Errorf("runtime: variable %s has no slot", x.Name)
 		}
-		return texpr{cls: clsBoxed, vfn: func(env *cenv) types.Value { return env.slots[idx] }}, nil
+		return texpr{cls: clsBoxed, vfn: func(env *cenv) types.Value { return env.slots[idx] }, slot: idx + 1}, nil
 	case *ir.Lookup:
 		return tc.compileLookup(x)
 	case *ir.Arith:
@@ -870,9 +904,10 @@ func (tc *tcompiler) compileExpr(x ir.Expr) (texpr, error) {
 	return texpr{}, fmt.Errorf("runtime: unknown expression %T", x)
 }
 
-// compileLookup probes a map; the result is always a float (the generic
-// engine reads every aggregate back through types.NewFloat). Stored values
-// are never NaN, so no NULL can originate here.
+// compileLookup probes a map; the result is always a float (the
+// interpreter reads every aggregate back through types.NewFloat), boxed
+// in boxed mode. Stored values are never NaN, so no NULL can originate
+// here.
 func (tc *tcompiler) compileLookup(x *ir.Lookup) (texpr, error) {
 	m := tc.e.maps[x.Map]
 	if m == nil {
@@ -918,16 +953,18 @@ func (tc *tcompiler) compileLookup(x *ir.Lookup) (texpr, error) {
 			return m.iN[k]
 		}}, nil
 	}
-	fillers := make([]valFn, len(keys))
-	for i, k := range keys {
-		fillers[i] = k.box()
-	}
+	fill := boxedFill(keys)
 	key := make(types.Tuple, len(keys))
 	var kbuf []byte
+	if tc.boxed {
+		return texpr{cls: clsBoxed, vfn: func(env *cenv) types.Value {
+			fill(env, key)
+			kbuf = types.AppendKey(kbuf[:0], key)
+			return types.NewFloat(m.GetKey(kbuf))
+		}}, nil
+	}
 	return texpr{cls: clsFloat, ffn: func(env *cenv) float64 {
-		for i, f := range fillers {
-			key[i] = f(env)
-		}
+		fill(env, key)
 		kbuf = types.AppendKey(kbuf[:0], key)
 		return m.GetKey(kbuf)
 	}}, nil
@@ -958,7 +995,7 @@ func (tc *tcompiler) compileArith(x *ir.Arith) (texpr, error) {
 		}
 		return texpr{}, fmt.Errorf("runtime: bad arithmetic op %q", x.Op)
 	}
-	// Mixed int/float typed operands: the generic engine sees at least one
+	// Mixed int/float typed operands: the interpreter sees at least one
 	// float operand and evaluates through Value.Float(), which is exactly
 	// asFloat. NaN (Null) propagates through + - * as Null does through
 	// types.arith.
@@ -983,7 +1020,7 @@ func (tc *tcompiler) compileArith(x *ir.Arith) (texpr, error) {
 		}
 		return texpr{}, fmt.Errorf("runtime: bad arithmetic op %q", x.Op)
 	}
-	// Boxed fallback: identical to the generic compiler.
+	// Boxed fallback: identical to the interpreter.
 	lv, rv := l.box(), r.box()
 	switch x.Op {
 	case '+':
@@ -1052,6 +1089,15 @@ func (tc *tcompiler) compileCmp(x *ir.CmpE) (texpr, error) {
 	default:
 		lv, rv := l.box(), r.box()
 		op := x.Op
+		if tc.boxed {
+			one, zero := types.NewInt(1), types.NewInt(0)
+			return texpr{cls: clsBoxed, vfn: func(env *cenv) types.Value {
+				if op.Eval(lv(env), rv(env)) {
+					return one
+				}
+				return zero
+			}}, nil
+		}
 		test = func(env *cenv) bool { return op.Eval(lv(env), rv(env)) }
 	}
 	if test == nil {

@@ -2,7 +2,9 @@
 # Hot-path benchmark harness: runs the financial and warehouse benchmark
 # suites (compiled engine) with allocation reporting and persists the
 # numbers to BENCH_hotpath.json — the input for EXPERIMENTS.md's
-# before/after allocation table.
+# before/after allocation table. Every suite runs 5 times (-count 5); the
+# JSON reports the median per benchmark, plus min, max and the run count
+# for the ns/op suites.
 #
 #   scripts/bench.sh                     # default 20000x iterations
 #   BENCHTIME=100x scripts/bench.sh      # quick smoke (used by check)
@@ -84,25 +86,50 @@ overload)
     ;;
 esac
 
-raw=$(go test -run xxx -bench "$PATTERN" -benchtime "$BENCHTIME" -benchmem "$PKG")
+raw=$(go test -run xxx -bench "$PATTERN" -benchtime "$BENCHTIME" -count 5 -benchmem "$PKG")
 printf '%s\n' "$raw"
+
+# The parsers below collapse the 5 result lines of each benchmark.
+# stats(list) sorts a space-separated value list and sets MED, MIN and
+# MAX; median(list) returns MED.
+MEDIAN_AWK='
+function stats(list,    n, v, i, j, t) {
+    n = split(list, v, " ")
+    for (i = 2; i <= n; i++) {
+        t = v[i]
+        for (j = i - 1; j >= 1 && v[j] + 0 > t + 0; j--) v[j + 1] = v[j]
+        v[j + 1] = t
+    }
+    MIN = v[1]; MAX = v[n]
+    MED = (n % 2) ? v[(n + 1) / 2] : sprintf("%.10g", (v[n / 2] + v[n / 2 + 1]) / 2)
+}
+function median(list) { stats(list); return MED }'
 
 if [ "$SUITE" = registry ]; then
     # The benchmark reports custom units (register-latency percentiles,
     # mean compile ns, catch-up record count) via b.ReportMetric; parse
-    # every "value unit" pair on the result line into a JSON field.
-    printf '%s\n' "$raw" | awk -v benchtime="$BENCHTIME" '
+    # every "value unit" pair on the result lines into a JSON field
+    # holding the median across runs.
+    printf '%s\n' "$raw" | awk -v benchtime="$BENCHTIME" "$MEDIAN_AWK"'
 /^BenchmarkRegistryRegister/ && / ns\/op/ {
     name = $1
     sub(/-[0-9]+$/, "", name)
-    print "{"
-    printf "  \"benchtime\": \"%s\",\n", benchtime
-    printf "  \"name\": \"%s\",\n", name
+    runs++
     for (i = 3; i <= NF; i += 2) {
         unit = $(i + 1)
         gsub(/\//, "_per_", unit)
-        printf "  \"%s\": %s%s\n", unit, $i, (i + 2 <= NF ? "," : "")
+        if (!(unit in vals)) order[++nunits] = unit
+        vals[unit] = vals[unit] " " $i
     }
+}
+END {
+    if (!runs) exit
+    print "{"
+    printf "  \"benchtime\": \"%s\",\n", benchtime
+    printf "  \"runs\": %d,\n", runs
+    printf "  \"name\": \"%s\",\n", name
+    for (u = 1; u <= nunits; u++)
+        printf "  \"%s\": %s%s\n", order[u], median(vals[order[u]]), (u < nunits ? "," : "")
     print "}"
 }' > "$OUT"
     if ! grep -q p99_ns "$OUT"; then
@@ -114,31 +141,36 @@ if [ "$SUITE" = registry ]; then
 fi
 
 if [ "$SUITE" = overload ]; then
-    # One result line per load point (load1x/load2x/load4x); parse every
-    # "value unit" custom-metric pair (p99_ack_ns, shed_frac) per line.
-    printf '%s\n' "$raw" | awk -v benchtime="$BENCHTIME" '
-BEGIN {
-    print "{"
-    printf "  \"benchtime\": \"%s\",\n", benchtime
-    print "  \"load_points\": ["
-    first = 1
-}
+    # One result line per load point (load1x/load2x/load4x) and run; every
+    # "value unit" custom-metric pair (p99_ack_ns, shed_frac) is reported
+    # as its median across runs.
+    printf '%s\n' "$raw" | awk -v benchtime="$BENCHTIME" "$MEDIAN_AWK"'
 /^BenchmarkOverloadShedding\// && / ns\/op/ {
     name = $1
     sub(/-[0-9]+$/, "", name)
     sub(/^BenchmarkOverloadShedding\//, "", name)
-    if (!first) printf ",\n"
-    first = 0
-    printf "    {\"load\": \"%s\"", name
+    if (!(name in runs)) loads[++nloads] = name
+    runs[name]++
     for (i = 3; i <= NF; i += 2) {
         unit = $(i + 1)
         gsub(/\//, "_per_", unit)
-        printf ", \"%s\": %s", unit, $i
+        if (!((name, unit) in vals)) units[name, ++nunits[name]] = unit
+        vals[name, unit] = vals[name, unit] " " $i
     }
-    printf "}"
 }
 END {
-    print ""
+    print "{"
+    printf "  \"benchtime\": \"%s\",\n", benchtime
+    print "  \"load_points\": ["
+    for (l = 1; l <= nloads; l++) {
+        name = loads[l]
+        printf "    {\"load\": \"%s\", \"runs\": %d", name, runs[name]
+        for (u = 1; u <= nunits[name]; u++) {
+            unit = units[name, u]
+            printf ", \"%s\": %s", unit, median(vals[name, unit])
+        }
+        printf "}%s\n", (l < nloads ? "," : "")
+    }
     print "  ]"
     print "}"
 }' > "$OUT"
@@ -150,13 +182,9 @@ END {
     exit 0
 fi
 
-printf '%s\n' "$raw" | awk -v benchtime="$BENCHTIME" '
-BEGIN {
-    print "{"
-    printf "  \"benchtime\": \"%s\",\n", benchtime
-    print "  \"benchmarks\": ["
-    first = 1
-}
+# ns_per_op is the median across runs (so readers of the single-run
+# format keep working); ns_per_op_min/max record the spread.
+printf '%s\n' "$raw" | awk -v benchtime="$BENCHTIME" "$MEDIAN_AWK"'
 /^Benchmark/ && / ns\/op/ {
     name = $1
     sub(/-[0-9]+$/, "", name)
@@ -167,12 +195,24 @@ BEGIN {
         if ($i == "allocs/op") aop = $(i-1)
     }
     if (ns == "") next
-    if (!first) printf ",\n"
-    first = 0
-    printf "    {\"name\": \"%s\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", name, ns, bop, aop
+    if (!(name in runs)) order[++n] = name
+    runs[name]++
+    nsv[name] = nsv[name] " " ns
+    bv[name] = bv[name] " " bop
+    av[name] = av[name] " " aop
 }
 END {
-    print ""
+    print "{"
+    printf "  \"benchtime\": \"%s\",\n", benchtime
+    print "  \"benchmarks\": ["
+    for (k = 1; k <= n; k++) {
+        name = order[k]
+        bop = (bv[name] ~ /null/) ? "null" : median(bv[name])
+        aop = (av[name] ~ /null/) ? "null" : median(av[name])
+        stats(nsv[name])
+        printf "    {\"name\": \"%s\", \"ns_per_op\": %s, \"ns_per_op_min\": %s, \"ns_per_op_max\": %s, \"runs\": %d, \"bytes_per_op\": %s, \"allocs_per_op\": %s}%s\n",
+            name, MED, MIN, MAX, runs[name], bop, aop, (k < n ? "," : "")
+    }
     print "  ]"
     print "}"
 }' > "$OUT"

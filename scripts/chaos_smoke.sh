@@ -162,7 +162,10 @@ echo "  quarantine matrix OK (2 tenants isolated, recovery + revive clean)"
 echo "== chaos smoke: native child supervision =="
 : >"$TMP/server.log"
 start_server -wal-dir "$TMP/wal2" -native subprocess
-CHILD=$(cat "/proc/$SRV_PID/task/$SRV_PID/children" | awk '{print $1}')
+# Each /proc/PID/task/TID/children file lists only the children forked by
+# that thread, and os/exec may fork from any of the server's threads, so
+# read them all. Threads can exit between the glob and the read.
+CHILD=$(cat "/proc/$SRV_PID"/task/*/children 2>/dev/null | awk 'NF {print $1; exit}' || true)
 if [ -z "$CHILD" ]; then
     echo "chaos smoke: no native child process found" >&2
     exit 1

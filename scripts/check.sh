@@ -47,7 +47,8 @@ BENCHTIME=100x SUITE=native OUT="${TMPDIR:-/tmp}/BENCH_native_smoke.json" sh scr
 
 # Qgen differential + fuzz smoke: seeded random queries over the widened
 # SQL surface (AVG, EXISTS/IN, LEFT OUTER JOIN) must agree bitwise across
-# the typed and generic engines and the re-evaluating oracle,
+# the typed and generic-storage builds, the IR interpreter, and the
+# re-evaluating oracle,
 # then a short coverage-guided pass over the seed space.
 echo "== qgen differential smoke ==" && go test ./internal/qgen/ -run 'TestQgenDifferential|TestQgenAlwaysCompiles' -short -count=1
 echo "== qgen fuzz smoke ==" && go test ./internal/qgen/ -run xxx -fuzz FuzzQueryAgreement -fuzztime 10s
