@@ -22,7 +22,6 @@ import (
 	"dbtoaster/internal/compiler"
 	"dbtoaster/internal/engine"
 	"dbtoaster/internal/metrics"
-	"dbtoaster/internal/native"
 	"dbtoaster/internal/orderbook"
 	"dbtoaster/internal/runtime"
 	"dbtoaster/internal/schema"
@@ -182,7 +181,7 @@ func BenchmarkNativeVsClosure(b *testing.B) {
 			runStream(b, e, tc.events)
 		})
 		b.Run(tc.name+"/dbtoaster-native", func(b *testing.B) {
-			e, err := engine.NewNativeToaster(q, native.ModeSubprocess)
+			e, err := engine.NewNativeToaster(q)
 			if err != nil {
 				b.Fatal(err)
 			}

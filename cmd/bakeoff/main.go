@@ -36,7 +36,6 @@ func main() {
 		metrics  = flag.String("metrics-out", "", "instrument the dbtoaster contenders and keep writing steady-state metrics snapshots to this JSON file (e.g. BENCH_metrics.json)")
 		walDir   = flag.String("wal-dir", "", "add the dbtoaster-wal contender (compiled engine with write-ahead logging), keeping its scratch logs under this directory")
 		nat      = flag.Bool("native", false, "add the dbtoaster-native contender (generated Go compiled by the toolchain, driven as a subprocess)")
-		natPlug  = flag.Bool("native-plugin", false, "add the dbtoaster-native-plugin contender (generated Go loaded via -buildmode=plugin)")
 	)
 	flag.Parse()
 
@@ -81,9 +80,6 @@ func main() {
 	}
 	if *nat {
 		engines = append(engines, "dbtoaster-native")
-	}
-	if *natPlug {
-		engines = append(engines, "dbtoaster-native-plugin")
 	}
 	for _, j := range jobs {
 		rep, err := bakeoff.Run(bakeoff.Config{

@@ -21,7 +21,6 @@ import (
 	"dbtoaster/internal/cli"
 	"dbtoaster/internal/engine"
 	"dbtoaster/internal/metrics"
-	"dbtoaster/internal/native"
 	"dbtoaster/internal/schema"
 	"dbtoaster/internal/server"
 )
@@ -47,8 +46,6 @@ func main() {
 		maxConns     = flag.Int("max-conns", 0, "cap concurrent connections; excess get one ERR line and are closed (0 = unlimited)")
 		idleTimeout  = flag.Duration("idle-timeout", 0, "close connections idle past this duration (0 = never)")
 		maxPending   = flag.Int("max-pending", 0, "shed ingest requests once this many events queue for the next commit group (0 = unbounded)")
-		nativeMode   = flag.String("native", "", "serve queries on supervised native-code engines: subprocess or plugin (empty = interpreted runtime)")
-		nativeTo     = flag.Duration("native-timeout", 0, "native child pipe liveness deadline (0 = DBT_NATIVE_TIMEOUT or 5s)")
 	)
 	flag.Parse()
 
@@ -109,25 +106,6 @@ func main() {
 		IdleTimeout: *idleTimeout,
 		MaxPending:  *maxPending,
 	}
-	if *nativeMode != "" {
-		mode, ok := parseNativeMode(*nativeMode)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "dbtserver: unknown -native mode %q (want subprocess or plugin)\n", *nativeMode)
-			os.Exit(1)
-		}
-		var sink *metrics.Sink
-		if !*noMetrics {
-			sink = metrics.New()
-			opts.Metrics = sink
-		}
-		opts.EngineBuilder = func(name string, q *engine.Query) (engine.CompiledEngine, error) {
-			nopts := engine.NativeOptions{Mode: mode, Timeout: *nativeTo}
-			if sink != nil {
-				nopts.OnRestart = func(uint64) { sink.Robust().NativeRestarts.Inc() }
-			}
-			return engine.NewNativeToasterOptions(q, nopts)
-		}
-	}
 	s, err := server.NewWithOptions(src, cat, opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dbtserver:", err)
@@ -164,15 +142,4 @@ func main() {
 	<-sig
 	fmt.Println("dbtserver: shutting down")
 	s.Close()
-}
-
-// parseNativeMode maps the -native flag value to a build mode.
-func parseNativeMode(s string) (native.Mode, bool) {
-	switch strings.ToLower(s) {
-	case "subprocess":
-		return native.ModeSubprocess, true
-	case "plugin":
-		return native.ModePlugin, true
-	}
-	return 0, false
 }

@@ -17,7 +17,6 @@ import (
 	"dbtoaster/internal/compiler"
 	"dbtoaster/internal/engine"
 	"dbtoaster/internal/metrics"
-	"dbtoaster/internal/native"
 	"dbtoaster/internal/runtime"
 	"dbtoaster/internal/schema"
 	"dbtoaster/internal/stream"
@@ -106,9 +105,7 @@ func buildEngine(name string, q *engine.Query, opts runtime.Options) (engine.Eng
 		// The generated-code path: emit + `go build` + drive the artifact
 		// as a subprocess. First construction per query pays the toolchain;
 		// repeats hit the source-hash build cache.
-		return engine.NewNativeToaster(q, native.ModeSubprocess)
-	case "dbtoaster-native-plugin":
-		return engine.NewNativeToaster(q, native.ModePlugin)
+		return engine.NewNativeToaster(q)
 	default:
 		return nil, fmt.Errorf("bakeoff: unknown engine %q", name)
 	}

@@ -1,12 +1,7 @@
 // Driver/shim emission: the second generated file that turns the query
-// state of Generate's output into a runnable artifact. One file serves
-// both execution modes:
-//
-//   - built normally, it is a subprocess whose main() speaks the native
-//     wire protocol over stdin/stdout (see the emitted doc comment and
-//     internal/native for the host side);
-//   - built with -buildmode=plugin, main() never runs and the host drives
-//     the exported Apply/Dump/Load/Reset entry points in-process.
+// state of Generate's output into a runnable artifact, a subprocess whose
+// main() speaks the native wire protocol over stdin/stdout (see the
+// emitted doc comment and internal/native for the host side).
 //
 // Like the query file, the driver depends only on the standard library.
 package codegen
@@ -108,14 +103,11 @@ func ProgramSpec(prog *ir.Program, cat *schema.Catalog) (*Spec, error) {
 	return spec, nil
 }
 
-// driverStatic is the mode-independent part of every emitted driver: the
+// driverStatic is the query-independent part of every emitted driver: the
 // protocol loop, framing, and the scalar wire codecs. Kept as one literal
 // so the emitted file reads as ordinary hand-written Go.
-const driverStatic = `// state is the process-wide query state both execution modes drive.
+const driverStatic = `// state is the process-wide query state the protocol loop drives.
 var state = NewState()
-
-// Reset discards all state (plugin entry point; Load rebuilds entries).
-func Reset() { state = NewState() }
 
 // main speaks the native wire protocol: length-prefixed frames on
 // stdin/stdout, integers little-endian. Host→child opcodes: 'B' event
@@ -273,11 +265,10 @@ func GenerateDriver(prog *ir.Program, cat *schema.Catalog) (string, error) {
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "// Code generated by dbtoaster for query %s; DO NOT EDIT.\n", prog.QueryName)
-	fmt.Fprintf(&b, "//\n// Driver shim: subprocess protocol loop and plugin entry points.\n")
+	fmt.Fprintf(&b, "//\n// Driver shim: subprocess protocol loop.\n")
 	fmt.Fprintf(&b, "package main\n\n")
 	fmt.Fprintf(&b, "import (\n\t\"bufio\"\n\t\"encoding/binary\"\n\t\"errors\"\n\t\"fmt\"\n\t\"io\"\n\t\"math\"\n\t\"os\"\n)\n\n")
 	b.WriteString(driverStatic)
-	emitApply(&b, spec)
 	emitApplyBatch(&b, spec)
 	emitDump(&b, spec)
 	emitLoad(&b, spec)
@@ -302,23 +293,6 @@ func handlerCall(r RelSpec, insert bool, vars []string) string {
 		return fmt.Sprintf("_ = []interface{}{%s} // no %s trigger", strings.Join(vars, ", "), strings.ToLower(op))
 	}
 	return fmt.Sprintf("state.On%s%s(%s)", op, ident(r.Name), strings.Join(vars, ", "))
-}
-
-// emitApply renders the plugin entry point: boxed single-event dispatch.
-func emitApply(b *strings.Builder, spec *Spec) {
-	fmt.Fprintf(b, "// Apply dispatches one event (plugin entry point). Argument kinds must\n")
-	fmt.Fprintf(b, "// match the relation's wire contract; the host validates at admission.\nfunc Apply(rel int, insert bool, args []interface{}) error {\n\tswitch rel {\n")
-	for i, r := range spec.Rels {
-		fmt.Fprintf(b, "\tcase %d: // %s\n", i, r.Name)
-		fmt.Fprintf(b, "\t\tif len(args) != %d {\n\t\t\treturn fmt.Errorf(\"%s expects %d args, got %%d\", len(args))\n\t\t}\n", len(r.Kinds), r.Name, len(r.Kinds))
-		vars := make([]string, len(r.Kinds))
-		for j, k := range r.Kinds {
-			vars[j] = fmt.Sprintf("args[%d].(%s)", j, goType(k))
-		}
-		fmt.Fprintf(b, "\t\tif insert {\n\t\t\t%s\n\t\t} else {\n\t\t\t%s\n\t\t}\n\t\treturn nil\n",
-			handlerCall(r, true, vars), handlerCall(r, false, vars))
-	}
-	fmt.Fprintf(b, "\t}\n\treturn fmt.Errorf(\"unknown relation index %%d\", rel)\n}\n\n")
 }
 
 // emitApplyBatch renders the subprocess batch decoder: typed, offset-based
@@ -352,8 +326,7 @@ func emitApplyBatch(b *strings.Builder, spec *Spec) {
 // emitDump renders the state dump: per map in declaration order, entry
 // count then entries (key fields in wire form, float64 value). A scalar
 // map contributes one entry when non-zero and none otherwise — the same
-// retention the interpreter's zero-arity map exhibits. Dump (the boxed
-// visitor) is the plugin twin of dumpBody.
+// retention the interpreter's zero-arity map exhibits.
 func emitDump(b *strings.Builder, spec *Spec) {
 	fmt.Fprintf(b, "// dumpBody appends the state dump to a reply payload.\nfunc dumpBody(body []byte) []byte {\n")
 	for _, ms := range spec.Maps {
@@ -375,28 +348,10 @@ func emitDump(b *strings.Builder, spec *Spec) {
 	}
 	fmt.Fprintf(b, "\treturn body\n}\n\n")
 
-	fmt.Fprintf(b, "// Dump visits every live entry in map declaration order (plugin entry\n// point).\nfunc Dump(visit func(mapIdx int, key []interface{}, val float64)) {\n")
-	for mi, ms := range spec.Maps {
-		n := ident(ms.Name)
-		switch len(ms.KeyKinds) {
-		case 0:
-			fmt.Fprintf(b, "\tif state.%s != 0 {\n\t\tvisit(%d, nil, state.%s)\n\t}\n", n, mi, n)
-		case 1:
-			fmt.Fprintf(b, "\tfor k, v := range state.%s {\n\t\tvisit(%d, []interface{}{k}, v)\n\t}\n", n, mi)
-		default:
-			fields := make([]string, len(ms.KeyKinds))
-			for i := range ms.KeyKinds {
-				fields[i] = fmt.Sprintf("k.K%d", i)
-			}
-			fmt.Fprintf(b, "\tfor k, v := range state.%s {\n\t\tvisit(%d, []interface{}{%s}, v)\n\t}\n", n, mi, strings.Join(fields, ", "))
-		}
-	}
-	fmt.Fprintf(b, "}\n\n")
 }
 
 // emitLoad renders the restore path: loadState replaces the whole state
-// from an 'R' payload (dump body layout); Load is the boxed per-entry
-// plugin twin, used together with Reset.
+// from an 'R' payload (dump body layout).
 func emitLoad(b *strings.Builder, spec *Spec) {
 	fmt.Fprintf(b, "// loadState replaces state from an 'R' payload.\nfunc loadState(p []byte) error {\n\tns := NewState()\n\toff := 0\n")
 	for mi, ms := range spec.Maps {
@@ -422,27 +377,8 @@ func emitLoad(b *strings.Builder, spec *Spec) {
 		}
 	}
 	fmt.Fprintf(b, "\tif off != len(p) {\n\t\treturn fmt.Errorf(\"load payload has %%d trailing bytes\", len(p)-off)\n\t}\n")
-	fmt.Fprintf(b, "\tstate = ns\n\treturn nil\n}\n\n")
+	fmt.Fprintf(b, "\tstate = ns\n\treturn nil\n}\n")
 
-	fmt.Fprintf(b, "// Load sets one entry verbatim (plugin entry point; Reset first).\nfunc Load(mapIdx int, key []interface{}, val float64) error {\n\tswitch mapIdx {\n")
-	for mi, ms := range spec.Maps {
-		n := ident(ms.Name)
-		fmt.Fprintf(b, "\tcase %d: // %s\n", mi, ms.Name)
-		switch len(ms.KeyKinds) {
-		case 0:
-			fmt.Fprintf(b, "\t\tstate.%s = val\n", n)
-		case 1:
-			fmt.Fprintf(b, "\t\tstate.%s[key[0].(%s)] = val\n", n, goType(ms.KeyKinds[0]))
-		default:
-			fields := make([]string, len(ms.KeyKinds))
-			for i, kk := range ms.KeyKinds {
-				fields[i] = fmt.Sprintf("key[%d].(%s)", i, goType(kk))
-			}
-			fmt.Fprintf(b, "\t\tstate.%s[%sKey{%s}] = val\n", n, n, strings.Join(fields, ", "))
-		}
-		fmt.Fprintf(b, "\t\treturn nil\n")
-	}
-	fmt.Fprintf(b, "\t}\n\treturn fmt.Errorf(\"unknown map index %%d\", mapIdx)\n}\n")
 }
 
 // readFn/putFn name the wire codec for a kind.

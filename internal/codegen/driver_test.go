@@ -53,7 +53,7 @@ func generateDriver(t *testing.T, src string) (query, driver string) {
 }
 
 // driverGoldenQueries pins the emitted driver/shim: the wire protocol
-// loop, the typed batch decoder, and the dump/load/Apply entry points.
+// loop, the typed batch decoder, and the dump/load codecs.
 // One query exercises a string-keyed group map plus a composite-key
 // auxiliary, the other a scalar result with int keys. Regenerate with
 // `go test ./internal/codegen -run TestGoldenGeneratedDriver -update`.

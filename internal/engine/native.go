@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"time"
 
 	"dbtoaster/internal/codegen"
 	"dbtoaster/internal/compiler"
@@ -17,111 +16,30 @@ import (
 // NativeToaster executes the query's *generated* Go — the paper's actual
 // deployment story ("compile to native code"), where the closure engines
 // only interpret or close over the trigger program. The generated source
-// is compiled by the Go toolchain and driven as a child artifact
-// (subprocess by default, in-process plugin opt-in); the engine keeps a
-// shadow interpreter runtime whose maps are *not* fed events but are
-// hydrated from the child's state dump at every read barrier, so result
-// assembly, MemEntries, and snapshot encoding reuse the battle-tested
-// closure paths — and any state divergence between generated and closure
-// execution surfaces as a bitwise snapshot mismatch.
+// is compiled by the Go toolchain and driven as a child process; the
+// engine keeps a shadow interpreter runtime whose maps are *not* fed
+// events but are hydrated from the child's state dump at every read
+// barrier, so result assembly, MemEntries, and snapshot encoding reuse
+// the battle-tested closure paths — and any state divergence between
+// generated and closure execution surfaces as a bitwise snapshot mismatch.
+//
+// A child failure is not recovered: the child's errors are sticky
+// (native.Proc), so every later call reports the first one.
 type NativeToaster struct {
-	child  native.Child
+	child  *native.Proc
 	spec   *codegen.Spec
 	shadow *Toaster
 	q      *Query
-	comp   *compiler.Compiled
-	name   string
-	bin    string
-	opts   NativeOptions
 	// checks[rel][i] is the admission kind for column i of wire relation
 	// rel (KindNull = unchecked), mirroring the interpreter's paramCheck.
 	checks [][]types.Kind
 	dirty  bool // child has applied events the shadow has not seen
-	closed bool
-	// Supervision state: journal holds every admitted event since the
-	// last successful shadow sync — exactly the delta between the shadow
-	// snapshot and the child's state — so a crashed child is rebuilt as
-	// shadow-load + journal-replay. restartTimes is the sliding window
-	// behind the circuit breaker.
-	journal      []native.Event
-	restartTimes []time.Time
-	restartCount uint64
 }
-
-// NativeOptions tunes a supervised native engine. The zero value means
-// subprocess mode with default supervision.
-type NativeOptions struct {
-	Mode native.Mode
-	// Timeout is the child liveness/shutdown deadline (see
-	// native.ProcOptions; zero falls back to DBT_NATIVE_TIMEOUT, then 5s).
-	Timeout time.Duration
-	// MaxRestarts restarts within RestartWindow trip the circuit breaker:
-	// the next failure is a fatal NativeCircuitError, which the registry
-	// turns into quarantine. Defaults: 3 restarts per minute.
-	MaxRestarts   int
-	RestartWindow time.Duration
-	// BackoffBase is the first restart delay, doubling per consecutive
-	// attempt (default 50ms, capped at 2s).
-	BackoffBase time.Duration
-	// OnRestart is called after each successful child restart with the
-	// lifetime restart count (metrics wiring).
-	OnRestart func(restarts uint64)
-}
-
-func (o NativeOptions) maxRestarts() int {
-	if o.MaxRestarts > 0 {
-		return o.MaxRestarts
-	}
-	return 3
-}
-
-func (o NativeOptions) window() time.Duration {
-	if o.RestartWindow > 0 {
-		return o.RestartWindow
-	}
-	return time.Minute
-}
-
-func (o NativeOptions) backoff(attempt int) time.Duration {
-	d := o.BackoffBase
-	if d <= 0 {
-		d = 50 * time.Millisecond
-	}
-	for i := 0; i < attempt && d < 2*time.Second; i++ {
-		d *= 2
-	}
-	if d > 2*time.Second {
-		d = 2 * time.Second
-	}
-	return d
-}
-
-// NativeCircuitError reports a native engine whose child kept dying: the
-// restart budget is exhausted, so the supervisor stops respawning and the
-// registry quarantines the query. Fatal marks it so the fan-out does not
-// surface it to the producer (healthy engines applied the event).
-type NativeCircuitError struct {
-	Restarts int
-	Window   time.Duration
-	Cause    error
-}
-
-func (e *NativeCircuitError) Error() string {
-	return fmt.Sprintf("native: circuit open after %d restarts in %s: %v", e.Restarts, e.Window, e.Cause)
-}
-
-func (e *NativeCircuitError) Unwrap() error { return e.Cause }
-func (e *NativeCircuitError) Fatal() bool   { return true }
 
 // NewNativeToaster generates, builds, and launches the query's native
 // artifact. Build artifacts are cached by source hash, so repeated
 // constructions of the same query skip the toolchain.
-func NewNativeToaster(q *Query, mode native.Mode) (*NativeToaster, error) {
-	return NewNativeToasterOptions(q, NativeOptions{Mode: mode})
-}
-
-// NewNativeToasterOptions is NewNativeToaster with supervision options.
-func NewNativeToasterOptions(q *Query, opts NativeOptions) (*NativeToaster, error) {
+func NewNativeToaster(q *Query) (*NativeToaster, error) {
 	comp, err := compiler.Compile(q.Translated)
 	if err != nil {
 		return nil, err
@@ -138,16 +56,11 @@ func NewNativeToasterOptions(q *Query, opts NativeOptions) (*NativeToaster, erro
 	if err != nil {
 		return nil, err
 	}
-	bin, err := native.Build(src, driver, opts.Mode)
+	bin, err := native.Build(src, driver)
 	if err != nil {
 		return nil, err
 	}
-	var child native.Child
-	if opts.Mode == native.ModePlugin {
-		child, err = native.StartPlugin(bin, spec)
-	} else {
-		child, err = native.StartProcOptions(bin, spec, native.ProcOptions{Timeout: opts.Timeout})
-	}
+	child, err := native.StartProc(bin, spec)
 	if err != nil {
 		return nil, err
 	}
@@ -156,12 +69,7 @@ func NewNativeToasterOptions(q *Query, opts NativeOptions) (*NativeToaster, erro
 		child.Close()
 		return nil, err
 	}
-	name := "dbtoaster-native"
-	if opts.Mode == native.ModePlugin {
-		name = "dbtoaster-native-plugin"
-	}
-	t := &NativeToaster{child: child, spec: spec, shadow: shadow, q: q, comp: comp,
-		name: name, bin: bin, opts: opts}
+	t := &NativeToaster{child: child, spec: spec, shadow: shadow, q: q}
 	for _, r := range spec.Rels {
 		t.checks = append(t.checks, r.Checks)
 	}
@@ -169,41 +77,10 @@ func NewNativeToasterOptions(q *Query, opts NativeOptions) (*NativeToaster, erro
 }
 
 // Name implements Engine.
-func (t *NativeToaster) Name() string { return t.name }
-
-// Compiled exposes the compilation artifact, making NativeToaster a
-// CompiledEngine the registry can host directly.
-func (t *NativeToaster) Compiled() *compiler.Compiled { return t.comp }
+func (t *NativeToaster) Name() string { return "dbtoaster-native" }
 
 // Spec exposes the wire contract (for tooling and tests).
 func (t *NativeToaster) Spec() *codegen.Spec { return t.spec }
-
-// Restarts reports how many times the supervisor respawned the child.
-func (t *NativeToaster) Restarts() uint64 { return t.restartCount }
-
-// ChildPid reports the subprocess child's pid (0 for plugins), and
-// KillChild terminates it — the chaos harness's handle on the new failure
-// domain.
-func (t *NativeToaster) ChildPid() int {
-	if p, ok := t.child.(*native.Proc); ok {
-		return p.Pid()
-	}
-	return 0
-}
-
-func (t *NativeToaster) KillChild() error {
-	if p, ok := t.child.(*native.Proc); ok {
-		return p.Kill()
-	}
-	return fmt.Errorf("native: child is not a subprocess")
-}
-
-// OwnedFootprint implements the registry's cheap quota probe via the
-// shadow, so enforcement for native engines lags to the last sync barrier
-// (counting the live child would cost a Dump round trip per event).
-func (t *NativeToaster) OwnedFootprint() (int, uint64) {
-	return t.shadow.OwnedFootprint()
-}
 
 // admit coerces and validates one event against the wire contract,
 // returning the native event and whether the program consumes it at all
@@ -235,15 +112,9 @@ func (t *NativeToaster) OnEvent(ev stream.Event) error {
 	return t.OnEventBatch([]stream.Event{ev})
 }
 
-// nativeJournalCap bounds the since-last-sync journal; past it a sync
-// barrier is forced so restart-replay cost stays bounded.
-const nativeJournalCap = 1 << 16
-
 // OnEventBatch implements Engine: admitted events are encoded as one
 // pipelined batch — the child is not awaited, so per-event cost is a
-// buffered write; the next read barrier surfaces any child failure. Every
-// admitted event is journaled until the next successful sync, which is
-// what makes a crashed child recoverable without replaying the stream.
+// buffered write; the next read barrier surfaces any child failure.
 func (t *NativeToaster) OnEventBatch(evs []stream.Event) error {
 	batch := make([]native.Event, 0, len(evs))
 	for _, ev := range evs {
@@ -265,24 +136,13 @@ func (t *NativeToaster) OnEventBatch(evs []stream.Event) error {
 	if len(batch) == 0 {
 		return nil
 	}
-	if err := t.applyAdmitted(batch); err != nil {
-		return err
-	}
-	if len(t.journal) >= nativeJournalCap {
-		return t.sync()
-	}
-	return nil
+	return t.applyAdmitted(batch)
 }
 
-// applyAdmitted journals then applies one admitted batch, respawning the
-// child on failure (the journal already contains the batch, so the
-// respawned child replays it).
+// applyAdmitted hands one admitted batch to the child.
 func (t *NativeToaster) applyAdmitted(batch []native.Event) error {
-	t.journal = append(t.journal, batch...)
 	if err := t.child.Apply(batch); err != nil {
-		if rerr := t.respawn(err); rerr != nil {
-			return rerr
-		}
+		return err
 	}
 	t.dirty = true
 	return nil
@@ -295,18 +155,10 @@ func (t *NativeToaster) sync() error {
 	if !t.dirty {
 		return nil
 	}
+	// Pipelined Apply failures surface here, at the barrier.
 	dump, err := t.child.Dump()
 	if err != nil {
-		// Pipelined Apply failures often surface here, at the barrier;
-		// respawn rebuilds child state (shadow + journal) and one retry
-		// gives the fresh child its chance before the error sticks.
-		if rerr := t.respawn(err); rerr != nil {
-			return rerr
-		}
-		dump, err = t.child.Dump()
-		if err != nil {
-			return err
-		}
+		return err
 	}
 	var buf bytes.Buffer
 	order := make([]string, len(t.spec.Maps))
@@ -328,13 +180,11 @@ func (t *NativeToaster) sync() error {
 		return fmt.Errorf("native: shadow hydration: %w", err)
 	}
 	t.dirty = false
-	// The shadow now covers everything the journal held.
-	t.journal = t.journal[:0]
 	return nil
 }
 
 // shadowDump renders the shadow's maps in spec order, the wholesale state
-// a (re)started child is loaded with.
+// a restored child is loaded with.
 func (t *NativeToaster) shadowDump() []native.MapDump {
 	dump := make([]native.MapDump, len(t.spec.Maps))
 	rt := t.shadow.Runtime()
@@ -347,60 +197,6 @@ func (t *NativeToaster) shadowDump() []native.MapDump {
 		dump[i] = d
 	}
 	return dump
-}
-
-// respawn replaces a failed subprocess child: kill and reap the old one,
-// start a fresh process with exponential backoff, rehydrate it from the
-// shadow snapshot, and replay the journal of events the shadow has not
-// seen. A sliding restart window feeds the circuit breaker — a child that
-// keeps dying becomes a fatal NativeCircuitError instead of a crash loop.
-func (t *NativeToaster) respawn(cause error) error {
-	if _, ok := t.child.(*native.Proc); !ok {
-		// In-process plugins cannot be restarted (Go plugins load once);
-		// trip the circuit immediately.
-		return &NativeCircuitError{Restarts: 0, Window: t.opts.window(), Cause: cause}
-	}
-	for attempt := 0; ; attempt++ {
-		now := time.Now()
-		keep := t.restartTimes[:0]
-		for _, ts := range t.restartTimes {
-			if now.Sub(ts) <= t.opts.window() {
-				keep = append(keep, ts)
-			}
-		}
-		t.restartTimes = keep
-		if len(t.restartTimes) >= t.opts.maxRestarts() {
-			return &NativeCircuitError{Restarts: len(t.restartTimes), Window: t.opts.window(), Cause: cause}
-		}
-		t.restartTimes = append(t.restartTimes, now)
-		time.Sleep(t.opts.backoff(attempt))
-		t.child.Close()
-		child, err := native.StartProcOptions(t.bin, t.spec, native.ProcOptions{Timeout: t.opts.Timeout})
-		if err != nil {
-			cause = err
-			continue
-		}
-		if err := child.Load(t.shadowDump()); err != nil {
-			child.Close()
-			cause = err
-			continue
-		}
-		if len(t.journal) > 0 {
-			// Pipelined: failures surface at the next barrier, where
-			// respawn runs again.
-			if err := child.Apply(t.journal); err != nil {
-				child.Close()
-				cause = err
-				continue
-			}
-		}
-		t.child = child
-		t.restartCount++
-		if t.opts.OnRestart != nil {
-			t.opts.OnRestart(t.restartCount)
-		}
-		return nil
-	}
 }
 
 // Flush is the explicit barrier: all pipelined batches applied and the
@@ -446,15 +242,8 @@ func (t *NativeToaster) StateRestore(r io.Reader) (uint64, error) {
 		return 0, err
 	}
 	t.dirty = false
-	t.journal = t.journal[:0]
 	return wm, nil
 }
 
 // Close terminates the child artifact. The engine is unusable afterwards.
-func (t *NativeToaster) Close() error {
-	if t.closed {
-		return nil
-	}
-	t.closed = true
-	return t.child.Close()
-}
+func (t *NativeToaster) Close() error { return t.child.Close() }

@@ -3,8 +3,10 @@ package engine
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"os/exec"
 	"testing"
+	"time"
 
 	"dbtoaster/internal/native"
 	"dbtoaster/internal/orderbook"
@@ -36,7 +38,7 @@ func nativePair(t *testing.T, src string, cat *schema.Catalog) (*NativeToaster, 
 	if err != nil {
 		t.Fatalf("Prepare(%q): %v", src, err)
 	}
-	nat, err := NewNativeToaster(q, native.ModeSubprocess)
+	nat, err := NewNativeToaster(q)
 	if err != nil {
 		t.Fatalf("NewNativeToaster(%q): %v", src, err)
 	}
@@ -119,10 +121,10 @@ func TestNativeBakeoffQueries(t *testing.T) {
 	warehouse := tpch.NewGenerator(7, 2).Workload(300)
 	financial := orderbook.NewGenerator(7, 60).Events(300)
 	cases := []struct {
-		name    string
-		src     string
-		cat     *schema.Catalog
-		evs     []stream.Event
+		name string
+		src  string
+		cat  *schema.Catalog
+		evs  []stream.Event
 	}{
 		{"ssb-4.1", tpch.QuerySSB41, tpch.Catalog(), warehouse},
 		{"ssb-1.1", tpch.QuerySSB11, tpch.Catalog(), warehouse},
@@ -232,7 +234,7 @@ func TestNativeStateRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nat2, err := NewNativeToaster(q, native.ModeSubprocess)
+	nat2, err := NewNativeToaster(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,49 +279,53 @@ func TestNativeBatchParity(t *testing.T) {
 	requireSnapshotEqual(t, nat, ref, "batched")
 }
 
-// TestNativePluginParity runs the opt-in in-process mode: the same
-// generated sources built with -buildmode=plugin, driven through the
-// boxed entry points. Skipped under the race detector (a race host
-// cannot load a non-race plugin) and when the plugin build fails (the
-// toolchain may lack cgo or a C linker).
-func TestNativePluginParity(t *testing.T) {
+// TestNativeChildFailureSticky kills the child mid-stream: the failure
+// surfaces at the next barrier as a returned error, and every later
+// barrier reports it again instead of serving stale shadow state.
+func TestNativeChildFailureSticky(t *testing.T) {
 	skipWithoutToolchain(t)
-	if native.RaceEnabled {
-		t.Skip("race-instrumented host cannot load non-race plugins")
-	}
-	g := qgen.New(2024)
-	src := g.Query()
-	q, err := Prepare(src, qgen.Catalog())
-	if err != nil {
+	nat, _ := nativePair(t, "select B, sum(A) from R group by B", testCatalog())
+	ev := stream.Event{Op: stream.Insert, Relation: "R",
+		Args: types.Tuple{types.NewInt(1), types.NewInt(1)}}
+	if err := nat.OnEvent(ev); err != nil {
 		t.Fatal(err)
 	}
-	nat, err := NewNativeToaster(q, native.ModePlugin)
-	if err != nil {
-		t.Skipf("plugin mode unavailable: %v", err)
+	if err := nat.Flush(); err != nil {
+		t.Fatalf("flush before kill: %v", err)
 	}
-	t.Cleanup(func() { nat.Close() })
-	ref, err := NewToaster(q, runtime.Options{})
-	if err != nil {
+	if err := nat.child.Kill(); err != nil {
 		t.Fatal(err)
 	}
-	if nat.Name() != "dbtoaster-native-plugin" {
-		t.Fatalf("engine name %q", nat.Name())
+	// The write may land in the pipe buffer; the barrier must fail.
+	if err := nat.OnEvent(ev); err == nil {
+		err = nat.Flush()
+		if err == nil {
+			t.Fatal("barrier after child kill returned no error")
+		}
 	}
-	driveParity(t, nat, ref, g.Trace(48), 8, "plugin "+src)
+	if _, err := nat.Results(); err == nil {
+		t.Fatal("child failure was not sticky: Results succeeded")
+	}
+	if err := nat.OnEvent(ev); err == nil {
+		t.Fatal("child failure was not sticky: OnEvent succeeded")
+	}
+}
 
-	// One live engine per artifact: a second engine on the same query must
-	// be refused while the first is open, and admitted after Close.
-	if _, err := NewNativeToaster(q, native.ModePlugin); err == nil {
-		t.Fatal("expected second live plugin engine to be refused")
+// TestNativeTimeoutEnv checks the DBT_NATIVE_TIMEOUT fallback resolution
+// order: explicit option, env var, 5s default.
+func TestNativeTimeoutEnv(t *testing.T) {
+	if d := (native.ProcOptions{Timeout: time.Second}).DefaultTimeout(); d != time.Second {
+		t.Fatalf("explicit timeout resolved to %s", d)
 	}
-	if err := nat.Close(); err != nil {
-		t.Fatal(err)
+	os.Setenv("DBT_NATIVE_TIMEOUT", "250ms")
+	defer os.Unsetenv("DBT_NATIVE_TIMEOUT")
+	if d := (native.ProcOptions{}).DefaultTimeout(); d != 250*time.Millisecond {
+		t.Fatalf("env timeout resolved to %s", d)
 	}
-	nat2, err := NewNativeToaster(q, native.ModePlugin)
-	if err != nil {
-		t.Fatalf("plugin slot not released by Close: %v", err)
+	os.Setenv("DBT_NATIVE_TIMEOUT", "garbage")
+	if d := (native.ProcOptions{}).DefaultTimeout(); d != 5*time.Second {
+		t.Fatalf("invalid env should fall back to 5s, got %s", d)
 	}
-	nat2.Close()
 }
 
 // TestNativeAdmissionErrors mirrors the interpreter's admission contract:

@@ -11,11 +11,11 @@ import (
 
 // Failure isolation: the fan-out treats each live query as a tenant whose
 // misbehavior — a panicking trigger, a blown size quota, repeated time-
-// budget breaches, a native engine whose restart budget is exhausted —
-// must not disturb the other N−1 tenants. The offending query moves to
-// StateQuarantined: skipped by the fan-out, its engine closed and dropped,
-// its name and reason still listed so operators see what happened, and
-// revivable by a fresh REGISTER (which catches up from the retained WAL).
+// budget breaches — must not disturb the other N−1 tenants. The offending
+// query moves to StateQuarantined: skipped by the fan-out, its engine
+// dropped, its name and reason still listed so operators see what
+// happened, and revivable by a fresh REGISTER (which catches up from the
+// retained WAL).
 //
 // Quarantine is a side effect, not a request failure: by the time the
 // breach is detected the event batch was durably logged and applied by
@@ -91,8 +91,6 @@ func (r *Registry) fanOut(evs []stream.Event, ev stream.Event, batch bool) error
 			switch {
 			case errors.As(err, &pe):
 				cases = append(cases, quarantineCase{e, fmt.Sprintf("trigger panic: %v", pe.Value), true})
-			case IsFatal(err):
-				cases = append(cases, quarantineCase{e, fmt.Sprintf("engine failure: %v", err), false})
 			default:
 				if firstErr == nil {
 					firstErr = err
@@ -114,10 +112,7 @@ func (r *Registry) fanOut(evs []stream.Event, ev stream.Event, batch bool) error
 			}
 		}
 		if quota.MaxEntries > 0 || quota.MaxBytes > 0 {
-			entries, bytes, ok := footprintOf(e.eng)
-			if !ok {
-				continue
-			}
+			entries, bytes := e.eng.OwnedFootprint()
 			if quota.MaxEntries > 0 && entries > quota.MaxEntries {
 				qe := &QuotaExceededError{Query: e.name, Resource: "map-entries",
 					Limit: uint64(quota.MaxEntries), Actual: uint64(entries)}
@@ -137,9 +132,9 @@ func (r *Registry) fanOut(evs []stream.Event, ev stream.Event, batch bool) error
 
 // runGuarded applies the delta to one engine behind a panic backstop. The
 // runtime's own containment converts trigger panics to *runtime.PanicError;
-// the recover here catches everything above that layer (admission coercion,
-// native wire encoding).
-func runGuarded(eng CompiledEngine, evs []stream.Event, ev stream.Event, batch, timed bool) (err error, pval any, elapsed time.Duration) {
+// the recover here catches everything above that layer (admission
+// coercion).
+func runGuarded(eng *Toaster, evs []stream.Event, ev stream.Event, batch, timed bool) (err error, pval any, elapsed time.Duration) {
 	defer func() {
 		if p := recover(); p != nil {
 			pval = p
@@ -161,19 +156,14 @@ func runGuarded(eng CompiledEngine, evs []stream.Event, ev stream.Event, batch, 
 }
 
 // applyQuarantines demotes the collected casualties under the registry
-// lock, then closes their engines outside it (a native engine's Close can
-// block on its child for up to the liveness timeout).
+// lock.
 func (r *Registry) applyQuarantines(cases []quarantineCase) {
-	var closed []CompiledEngine
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	for _, c := range cases {
-		closed = append(closed, r.quarantineLocked(c.ent, c.reason, 0, true, c.corrupt)...)
+		r.quarantineLocked(c.ent, c.reason, 0, true, c.corrupt)
 	}
 	r.rebuildLiveLocked()
-	r.mu.Unlock()
-	for _, eng := range closed {
-		closeEngineQuietly(eng)
-	}
 }
 
 // Quarantine demotes a live query by name (the WAL-replay and test entry
@@ -181,17 +171,13 @@ func (r *Registry) applyQuarantines(cases []quarantineCase) {
 // invokes the hook). lastGood is recorded as-is.
 func (r *Registry) Quarantine(name, reason string, lastGood uint64) error {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	ent := r.entries[name]
 	if ent == nil || ent.state != StateLive {
-		r.mu.Unlock()
 		return fmt.Errorf("query %q is not live", name)
 	}
-	closed := r.quarantineLocked(ent, reason, lastGood, false, false)
+	r.quarantineLocked(ent, reason, lastGood, false, false)
 	r.rebuildLiveLocked()
-	r.mu.Unlock()
-	for _, eng := range closed {
-		closeEngineQuietly(eng)
-	}
 	return nil
 }
 
@@ -216,8 +202,8 @@ func (r *Registry) InstallQuarantined(name, sql, reason string, fromSeq, lastGoo
 // refs are released; owned maps are promoted to their oldest borrower
 // (exactly like Remove) unless the demotion is corrupt — a mid-event
 // panic may have torn the owned maps, so every borrower reading them is
-// cascaded into quarantine too. Returns the engines to close.
-func (r *Registry) quarantineLocked(root *regEntry, reason string, lastGood uint64, useHook, corrupt bool) (closed []CompiledEngine) {
+// cascaded into quarantine too.
+func (r *Registry) quarantineLocked(root *regEntry, reason string, lastGood uint64, useHook, corrupt bool) {
 	type item struct {
 		e       *regEntry
 		reason  string
@@ -286,13 +272,9 @@ func (r *Registry) quarantineLocked(root *regEntry, reason string, lastGood uint
 			}
 		}
 		e.owned = map[string]string{}
-		if e.eng != nil {
-			closed = append(closed, e.eng)
-			e.eng = nil
-		}
+		e.eng = nil
 		e.q = nil
 	}
-	return closed
 }
 
 // borrowersLocked lists the live entries borrowing sig.
@@ -307,10 +289,4 @@ func (r *Registry) borrowersLocked(sig string) []*regEntry {
 		}
 	}
 	return out
-}
-
-func closeEngineQuietly(eng CompiledEngine) {
-	if cl, ok := eng.(interface{ Close() error }); ok {
-		_ = cl.Close()
-	}
 }

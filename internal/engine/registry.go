@@ -5,7 +5,6 @@ import (
 	"sort"
 	"sync"
 
-	"dbtoaster/internal/compiler"
 	"dbtoaster/internal/ir"
 	"dbtoaster/internal/runtime"
 	"dbtoaster/internal/stream"
@@ -79,9 +78,9 @@ const (
 	StateLive
 	StateDraining
 	// StateQuarantined marks a query removed from the fan-out after a
-	// trigger panic, quota breach, or engine failure. Its engine is
-	// closed and dropped; the entry survives (with the reason) so LIST
-	// stays honest, and a fresh REGISTER under the same name revives it.
+	// trigger panic or quota breach. Its engine is dropped; the entry
+	// survives (with the reason) so LIST stays honest, and a fresh
+	// REGISTER under the same name revives it.
 	StateQuarantined
 )
 
@@ -122,17 +121,11 @@ type PoolInfo struct {
 	FromSeq uint64
 }
 
-// CompiledEngine is the standing-query surface the registry manages.
-type CompiledEngine interface {
-	Engine
-	Compiled() *compiler.Compiled
-}
-
 type regEntry struct {
 	name    string
 	sql     string
 	q       *Query
-	eng     CompiledEngine
+	eng     *Toaster
 	opts    runtime.Options
 	state   QueryState
 	fromSeq uint64
@@ -230,13 +223,12 @@ func sigsOf(prog *ir.Program) map[string]string {
 	return sigs
 }
 
-// Install makes a caught-up engine live. For a *Toaster the engine is
-// rebuilt from its compilation artifact with a MapSource that (a) offers
-// every eligible pooled map for adoption and (b) transfers the caught-up
-// engine's own map state into the final build — so the swapped-in engine
-// starts exactly where the private catch-up engine stopped, with metrics
-// attached and sharing applied. Other engine kinds (the native engine)
-// install as-is. fromSeq is the WAL position before which this query saw
+// Install makes a caught-up engine live. The engine is rebuilt from its
+// compilation artifact with a MapSource that (a) offers every eligible
+// pooled map for adoption and (b) transfers the caught-up engine's own map
+// state into the final build — so the swapped-in engine starts exactly
+// where the private catch-up engine stopped, with metrics attached and
+// sharing applied. fromSeq is the WAL position before which this query saw
 // nothing; opts are the final build's runtime options and are retained for
 // ownership-promotion rebuilds.
 //
@@ -244,7 +236,7 @@ func sigsOf(prog *ir.Program) map[string]string {
 // server's control lane does); the registry lock alone is not enough,
 // because the rebuilt engine must not miss events between the transfer
 // and going live.
-func (r *Registry) Install(name string, q *Query, eng CompiledEngine, fromSeq uint64, opts runtime.Options) (CompiledEngine, error) {
+func (r *Registry) Install(name string, q *Query, t *Toaster, fromSeq uint64, opts runtime.Options) (*Toaster, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	ent := r.entries[name]
@@ -261,15 +253,6 @@ func (r *Registry) Install(name string, q *Query, eng CompiledEngine, fromSeq ui
 	ent.fromSeq = fromSeq
 	ent.owned = map[string]string{}
 	ent.borrowed = map[string]string{}
-
-	t, isToaster := eng.(*Toaster)
-	if !isToaster {
-		ent.eng = eng
-		ent.state = StateLive
-		delete(r.stash, name)
-		r.rebuildLiveLocked()
-		return eng, nil
-	}
 
 	comp := t.Compiled()
 	sigs := sigsOf(comp.Program)
@@ -314,30 +297,29 @@ func (r *Registry) Install(name string, q *Query, eng CompiledEngine, fromSeq ui
 }
 
 // Remove unregisters a live query, promoting ownership of any maps it
-// owns in the pool to their oldest borrower. It returns the removed
-// engine so the caller can close it; the last live query is refused
-// (a server must always answer RESULT).
+// owns in the pool to their oldest borrower. The last live query is
+// refused (a server must always answer RESULT).
 //
 // Like Install, Remove must be serialized against event application by
 // the caller: promotion rebuilds a borrower's engine in place.
-func (r *Registry) Remove(name string) (CompiledEngine, error) {
+func (r *Registry) Remove(name string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	ent := r.entries[name]
 	if ent == nil {
-		return nil, fmt.Errorf("unknown query %q", name)
+		return fmt.Errorf("unknown query %q", name)
 	}
 	if ent.state == StateQuarantined {
 		// A quarantined entry holds no engine and no pool stake; removing
 		// it is pure bookkeeping.
 		delete(r.entries, name)
-		return nil, nil
+		return nil
 	}
 	if ent.state != StateLive {
-		return nil, fmt.Errorf("unknown query %q", name)
+		return fmt.Errorf("unknown query %q", name)
 	}
 	if len(r.live) == 1 {
-		return nil, fmt.Errorf("cannot unregister %q: it is the last registered query", name)
+		return fmt.Errorf("cannot unregister %q: it is the last registered query", name)
 	}
 	ent.state = StateDraining
 	for sig := range ent.borrowed {
@@ -356,19 +338,19 @@ func (r *Registry) Remove(name string) (CompiledEngine, error) {
 		b := r.oldestBorrowerLocked(sig)
 		if b == nil {
 			ent.state = StateLive
-			return nil, fmt.Errorf("registry: pool entry %q has %d refs but no borrower", sig, pe.refs)
+			return fmt.Errorf("registry: pool entry %q has %d refs but no borrower", sig, pe.refs)
 		}
 		promote[b] = append(promote[b], sig)
 	}
 	for b, sigsToOwn := range promote {
 		if err := r.promoteLocked(b, sigsToOwn); err != nil {
 			ent.state = StateLive
-			return nil, err
+			return err
 		}
 	}
 	delete(r.entries, name)
 	r.rebuildLiveLocked()
-	return ent.eng, nil
+	return nil
 }
 
 // oldestBorrowerLocked finds the live entry with the smallest registration
@@ -393,10 +375,7 @@ func (r *Registry) oldestBorrowerLocked(sig string) *regEntry {
 // given pooled signatures (its adoption of them becomes a transfer), while
 // keeping its other adoptions and transferring its private maps in place.
 func (r *Registry) promoteLocked(b *regEntry, sigsToOwn []string) error {
-	t, ok := b.eng.(*Toaster)
-	if !ok {
-		return fmt.Errorf("registry: borrower %q is not a single-threaded engine", b.name)
-	}
+	t := b.eng
 	own := map[string]bool{}
 	for _, sig := range sigsToOwn {
 		own[sig] = true
@@ -466,9 +445,8 @@ func (r *Registry) rebuildLiveLocked() {
 // OnEvent fans one delta out to every live engine, newest registration
 // first. Every engine sees the event even if an earlier one rejects it
 // (identical rejection on replay keeps recovery convergent); the first
-// ordinary rejection is reported, while panics, fatal engine failures,
-// and quota breaches quarantine the offending engine instead (see
-// quarantine.go).
+// ordinary rejection is reported, while panics and quota breaches
+// quarantine the offending engine instead (see quarantine.go).
 func (r *Registry) OnEvent(ev stream.Event) error {
 	return r.fanOut(nil, ev, false)
 }
@@ -494,8 +472,18 @@ func (r *Registry) OnEventBatch(evs []stream.Event) error {
 	return firstErr
 }
 
-// Get returns a live query's engine.
-func (r *Registry) Get(name string) (CompiledEngine, bool) {
+// Get returns a live query's engine. It is always a *Toaster (see
+// Toaster); the Engine return type keeps callers that type-assert the
+// result, such as perfbench, compiling.
+func (r *Registry) Get(name string) (Engine, bool) {
+	if t, ok := r.Toaster(name); ok {
+		return t, true
+	}
+	return nil, false
+}
+
+// Toaster returns a live query's engine.
+func (r *Registry) Toaster(name string) (*Toaster, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	e := r.entries[name]

@@ -52,8 +52,19 @@ func (s *Snapshot) WritePrometheus(w io.Writer) {
 			fmt.Fprintf(w, "dbt_map_approx_bytes{%s} %d\n", mapLabels(m), m.ApproxBytes)
 		}
 	}
-	// WAL and robustness series are named dbt_<section>_<json field>, with
-	// _total on counters, so every JSON field has exactly one series.
+	// Query, WAL and robustness series are named dbt_<section>_<json
+	// field>, with _total on counters, so every JSON field has exactly one
+	// series. Per-query fields are gauges labelled by query.
+	if len(s.Queries) > 0 {
+		fmt.Fprintf(w, "# TYPE dbt_query_compile_seconds gauge\n")
+		for _, q := range s.Queries {
+			fmt.Fprintf(w, "dbt_query_compile_seconds{query=%q} %v\n", q.Label, q.CompileSeconds)
+		}
+		fmt.Fprintf(w, "# TYPE dbt_query_catchup_events gauge\n")
+		for _, q := range s.Queries {
+			fmt.Fprintf(w, "dbt_query_catchup_events{query=%q} %d\n", q.Label, q.CatchupEvents)
+		}
+	}
 	if d := s.WAL; d != nil {
 		writePromCounter(w, "dbt_wal_appends_total", d.Appends)
 		writePromCounter(w, "dbt_wal_appended_bytes_total", d.AppendedBytes)
@@ -76,7 +87,6 @@ func (s *Snapshot) WritePrometheus(w io.Writer) {
 		writePromCounter(w, "dbt_robust_conn_rejects_total", r.ConnRejects)
 		writePromCounter(w, "dbt_robust_idle_closes_total", r.IdleCloses)
 		writePromCounter(w, "dbt_robust_quarantines_total", r.Quarantines)
-		writePromCounter(w, "dbt_robust_native_restarts_total", r.NativeRestarts)
 	}
 }
 

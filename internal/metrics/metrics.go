@@ -229,15 +229,14 @@ type WALStats struct {
 
 // RobustStats is the overload-protection and failure-isolation series:
 // requests shed by the bounded committer, connections refused at the
-// accept loop, idle connections reaped, queries quarantined, and native
-// children respawned. Registered once per sink, like WALStats.
+// accept loop, idle connections reaped, and queries quarantined.
+// Registered once per sink, like WALStats.
 type RobustStats struct {
-	ShedRequests   Counter
-	ShedEvents     Counter
-	ConnRejects    Counter
-	IdleCloses     Counter
-	Quarantines    Counter
-	NativeRestarts Counter
+	ShedRequests Counter
+	ShedEvents   Counter
+	ConnRejects  Counter
+	IdleCloses   Counter
+	Quarantines  Counter
 }
 
 // MapStats is one view map's live gauges: entry cardinality and its
@@ -443,7 +442,6 @@ func (s *Sink) Reset() {
 		robust.ConnRejects.Reset()
 		robust.IdleCloses.Reset()
 		robust.Quarantines.Reset()
-		robust.NativeRestarts.Reset()
 	}
 }
 
@@ -487,12 +485,11 @@ type WALSnapshot struct {
 // RobustSnapshot is the overload/failure-isolation series at a point in
 // time.
 type RobustSnapshot struct {
-	ShedRequests   uint64 `json:"shed_requests"`
-	ShedEvents     uint64 `json:"shed_events"`
-	ConnRejects    uint64 `json:"conn_rejects"`
-	IdleCloses     uint64 `json:"idle_closes"`
-	Quarantines    uint64 `json:"quarantines"`
-	NativeRestarts uint64 `json:"native_restarts"`
+	ShedRequests uint64 `json:"shed_requests"`
+	ShedEvents   uint64 `json:"shed_events"`
+	ConnRejects  uint64 `json:"conn_rejects"`
+	IdleCloses   uint64 `json:"idle_closes"`
+	Quarantines  uint64 `json:"quarantines"`
 }
 
 // HeapSnapshot is the process-level memory picture backing the "bytes"
@@ -610,12 +607,11 @@ func (s *Sink) Snapshot() *Snapshot {
 	}
 	if robust != nil {
 		snap.Robust = &RobustSnapshot{
-			ShedRequests:   robust.ShedRequests.Load(),
-			ShedEvents:     robust.ShedEvents.Load(),
-			ConnRejects:    robust.ConnRejects.Load(),
-			IdleCloses:     robust.IdleCloses.Load(),
-			Quarantines:    robust.Quarantines.Load(),
-			NativeRestarts: robust.NativeRestarts.Load(),
+			ShedRequests: robust.ShedRequests.Load(),
+			ShedEvents:   robust.ShedEvents.Load(),
+			ConnRejects:  robust.ConnRejects.Load(),
+			IdleCloses:   robust.IdleCloses.Load(),
+			Quarantines:  robust.Quarantines.Load(),
 		}
 	}
 	var ms runtime.MemStats
@@ -672,8 +668,8 @@ func (s *Snapshot) Lines() []string {
 	}
 	if r := s.Robust; r != nil {
 		out = append(out, fmt.Sprintf(
-			"robust shed_requests=%d shed_events=%d conn_rejects=%d idle_closes=%d quarantines=%d native_restarts=%d",
-			r.ShedRequests, r.ShedEvents, r.ConnRejects, r.IdleCloses, r.Quarantines, r.NativeRestarts))
+			"robust shed_requests=%d shed_events=%d conn_rejects=%d idle_closes=%d quarantines=%d",
+			r.ShedRequests, r.ShedEvents, r.ConnRejects, r.IdleCloses, r.Quarantines))
 	}
 	return out
 }

@@ -337,6 +337,68 @@ func TestPrometheusCoversWALAndRobust(t *testing.T) {
 	}
 }
 
+// TestPrometheusCoversQueries walks the per-query snapshot's JSON fields
+// and checks each has a dbt_query_<field> gauge per query, labelled by
+// query name and carrying the JSON value.
+func TestPrometheusCoversQueries(t *testing.T) {
+	s := New()
+	for i, label := range []string{"main", `odd"name`} {
+		q := s.Query(label)
+		q.CompileNs.Set(int64(1234567 * (i + 1)))
+		q.CatchupEvents.Set(int64(42 + i))
+	}
+	snap := s.Snapshot()
+	var b strings.Builder
+	snap.WritePrometheus(&b)
+	out := b.String()
+	raw, err := json.Marshal(snap.Queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var queries []map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &queries); err != nil {
+		t.Fatal(err)
+	}
+	if len(queries) != 2 {
+		t.Fatalf("%d query snapshots, want 2", len(queries))
+	}
+	typ := reflect.TypeOf(QuerySnapshot{})
+	for i := 0; i < typ.NumField(); i++ {
+		field := strings.Split(typ.Field(i).Tag.Get("json"), ",")[0]
+		if field == "label" {
+			continue // the series label, not a series
+		}
+		name := "dbt_query_" + field
+		if !strings.Contains(out, "# TYPE "+name+" gauge\n") {
+			t.Errorf("query.%s: no gauge family %s", field, name)
+		}
+		for _, q := range queries {
+			var label string
+			if err := json.Unmarshal(q["label"], &label); err != nil {
+				t.Fatal(err)
+			}
+			prefix := fmt.Sprintf("%s{query=%q} ", name, label)
+			var got string
+			for _, line := range strings.Split(out, "\n") {
+				if strings.HasPrefix(line, prefix) {
+					got = strings.TrimPrefix(line, prefix)
+				}
+			}
+			var gotV, wantV float64
+			if _, err := fmt.Sscan(got, &gotV); err != nil {
+				t.Errorf("%s: no parsable sample (%q)", prefix, got)
+				continue
+			}
+			if err := json.Unmarshal(q[field], &wantV); err != nil {
+				t.Fatal(err)
+			}
+			if gotV != wantV {
+				t.Errorf("%s= %v, want %v", prefix, gotV, wantV)
+			}
+		}
+	}
+}
+
 // TestPromHistogramCumulative checks the bucket rendering is cumulative
 // even when zero buckets are elided.
 func TestPromHistogramCumulative(t *testing.T) {

@@ -23,24 +23,20 @@ func cacheRoot() string {
 // Build compiles the generated query + driver pair into an executable
 // artifact and returns its path, reusing a cached build when one exists.
 //
-// The cache key hashes both sources, the toolchain version, and the mode,
-// so an emitter change or toolchain upgrade can never serve a stale
+// The cache key hashes both sources and the toolchain version, so an
+// emitter change or toolchain upgrade can never serve a stale
 // artifact. Builds land under a content-addressed directory and the
 // artifact is moved into place with a rename, so concurrent builders of
 // the same query race benignly: both write identical bytes and the last
 // rename wins atomically.
-func Build(query, driver string, mode Mode) (string, error) {
+func Build(query, driver string) (string, error) {
 	h := sha256.New()
-	for _, part := range []string{query, driver, runtime.Version(), mode.String()} {
+	for _, part := range []string{query, driver, runtime.Version()} {
 		h.Write([]byte(part))
 		h.Write([]byte{0})
 	}
 	dir := filepath.Join(cacheRoot(), hex.EncodeToString(h.Sum(nil))[:16])
-	artifact := "query.bin"
-	if mode == ModePlugin {
-		artifact = "query.so"
-	}
-	target := filepath.Join(dir, artifact)
+	target := filepath.Join(dir, "query.bin")
 	if _, err := os.Stat(target); err == nil {
 		return target, nil
 	}
@@ -58,20 +54,13 @@ func Build(query, driver string, mode Mode) (string, error) {
 		}
 	}
 	tmp := fmt.Sprintf("%s.tmp%d", target, os.Getpid())
-	args := []string{"build", "-o", tmp}
-	cgo := "CGO_ENABLED=0"
-	if mode == ModePlugin {
-		// Plugins require cgo and external linking; the subprocess binary
-		// is built cgo-free so it works wherever the go toolchain does.
-		args = []string{"build", "-buildmode=plugin", "-o", tmp}
-		cgo = "CGO_ENABLED=1"
-	}
-	cmd := exec.Command("go", args...)
+	// Built cgo-free so the binary works wherever the go toolchain does.
+	cmd := exec.Command("go", "build", "-o", tmp)
 	cmd.Dir = dir
-	cmd.Env = append(os.Environ(), cgo)
+	cmd.Env = append(os.Environ(), "CGO_ENABLED=0")
 	if out, err := cmd.CombinedOutput(); err != nil {
 		os.Remove(tmp)
-		return "", fmt.Errorf("native: go build (%s): %v\n%s", mode, err, out)
+		return "", fmt.Errorf("native: go build: %v\n%s", err, out)
 	}
 	if err := os.Rename(tmp, target); err != nil {
 		os.Remove(tmp)

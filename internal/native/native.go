@@ -3,19 +3,10 @@
 // — the paper's "generate native code, hand it to the compiler, execute"
 // deployment story, which the closure engines only approximate.
 //
-// Two modes share one generated driver:
-//
-//   - ModeSubprocess (default): the artifact is an ordinary binary run as
-//     a child process speaking a small length-prefixed protocol over
-//     stdin/stdout. Event batches are pipelined (buffered, unacknowledged)
-//     and the state dump is the sync barrier, so per-event overhead is a
-//     buffered write, not a round trip.
-//   - ModePlugin (opt-in): the artifact is built with -buildmode=plugin
-//     and loaded in-process, trading process isolation for call-overhead
-//     event dispatch. The toolchain must support plugins (cgo, matching
-//     build flags — a -race host cannot load a non-race plugin), and a
-//     .so stays mapped for the life of the process, so the loader admits
-//     one live engine per artifact at a time.
+// The artifact is an ordinary binary run as a child process speaking a
+// small length-prefixed protocol over stdin/stdout (Proc). Event batches
+// are pipelined (buffered, unacknowledged) and the state dump is the sync
+// barrier, so per-event overhead is a buffered write, not a round trip.
 //
 // Builds are cached in the system temp directory keyed by source hash, so
 // repeated engines of the same query skip the toolchain entirely.
@@ -24,23 +15,6 @@ package native
 import (
 	"dbtoaster/internal/types"
 )
-
-// Mode selects how the generated artifact is executed.
-type Mode int
-
-// Execution modes.
-const (
-	ModeSubprocess Mode = iota
-	ModePlugin
-)
-
-// String names the mode for cache keys and engine names.
-func (m Mode) String() string {
-	if m == ModePlugin {
-		return "plugin"
-	}
-	return "subprocess"
-}
 
 // Event is one admitted, coerced event addressed by wire relation index
 // (codegen.Spec.RelIndex). Args kinds must satisfy the relation's checks;
@@ -58,61 +32,4 @@ type MapDump struct {
 	Name string
 	Keys []types.Tuple
 	Vals []float64
-}
-
-// Child is a running generated artifact. Apply may buffer; Dump and Load
-// are barriers that surface any buffered failure. Implementations are not
-// safe for concurrent use — the engine layer serializes, as it does for
-// the single-threaded interpreter.
-type Child interface {
-	Apply(evs []Event) error
-	Dump() ([]MapDump, error)
-	Load(dump []MapDump) error
-	Close() error
-}
-
-// boxArg converts a value to the driver's native representation for wire
-// kind k. A Null value (possible only on unchecked columns, whose value no
-// trigger reads) becomes the kind's zero value.
-func boxArg(v types.Value, k types.Kind) interface{} {
-	switch k {
-	case types.KindInt:
-		if v.Kind() != types.KindInt {
-			return int64(0)
-		}
-		return v.Int()
-	case types.KindFloat:
-		if v.Kind() != types.KindFloat && v.Kind() != types.KindInt {
-			return float64(0)
-		}
-		return v.Float()
-	case types.KindString:
-		if v.Kind() != types.KindString {
-			return ""
-		}
-		return v.Str()
-	case types.KindBool:
-		if v.Kind() != types.KindBool {
-			return false
-		}
-		return v.Bool()
-	default:
-		return float64(0)
-	}
-}
-
-// unboxKey canonicalizes one dumped key field back into a boxed value.
-func unboxKey(raw interface{}, k types.Kind) types.Value {
-	switch k {
-	case types.KindInt:
-		return types.NewInt(raw.(int64))
-	case types.KindFloat:
-		return types.NewFloat(raw.(float64))
-	case types.KindString:
-		return types.NewString(raw.(string))
-	case types.KindBool:
-		return types.NewBool(raw.(bool))
-	default:
-		return types.Null
-	}
 }

@@ -61,7 +61,7 @@ func buildQuery(t *testing.T, src string) (string, *codegen.Spec) {
 	}
 	os.Setenv("DBT_NATIVE_CACHE", cacheDirFor(t))
 	t.Cleanup(func() { os.Unsetenv("DBT_NATIVE_CACHE") })
-	bin, err := Build(query, driver, ModeSubprocess)
+	bin, err := Build(query, driver)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestBuildCache(t *testing.T) {
 	defer os.Unsetenv("DBT_NATIVE_CACHE")
 	query := "package main\n\nfunc f() {}\n"
 	driver := "package main\n\nfunc main() { f() }\n"
-	p1, err := Build(query, driver, ModeSubprocess)
+	p1, err := Build(query, driver)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestBuildCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := Build(query, driver, ModeSubprocess)
+	p2, err := Build(query, driver)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestBuildCache(t *testing.T) {
 	if !st1.ModTime().Equal(st2.ModTime()) {
 		t.Fatal("artifact rebuilt despite identical sources")
 	}
-	p3, err := Build(query+"\n// v2\n", driver, ModeSubprocess)
+	p3, err := Build(query+"\n// v2\n", driver)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,9 @@ const maxFrame = 1 << 30
 
 // Proc drives a generated binary as a child process. Writes are buffered
 // and pipelined — Apply does not wait for the child — and Dump/Load are
-// the barriers where buffered work is flushed and failures surface.
+// the barriers where buffered work is flushed and failures surface. A
+// Proc is not safe for concurrent use; the engine layer serializes, as it
+// does for the single-threaded interpreter.
 // Errors are sticky: after the first failure every call reports it, with
 // the tail of the child's stderr attached for diagnosis.
 type Proc struct {
@@ -98,15 +100,7 @@ func StartProcOptions(bin string, spec *codegen.Spec, opts ProcOptions) (*Proc, 
 	return p, nil
 }
 
-// Pid reports the child's process id (0 after Close).
-func (p *Proc) Pid() int {
-	if p.cmd == nil || p.cmd.Process == nil {
-		return 0
-	}
-	return p.cmd.Process.Pid
-}
-
-// Kill terminates the child immediately (chaos tests and supervisors; the
+// Kill terminates the child immediately (liveness failures and tests; the
 // next barrier surfaces the broken pipe as a sticky error).
 func (p *Proc) Kill() error {
 	if p.cmd == nil || p.cmd.Process == nil {

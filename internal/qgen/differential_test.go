@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"dbtoaster/internal/engine"
-	"dbtoaster/internal/native"
 	"dbtoaster/internal/qgen"
 	"dbtoaster/internal/runtime"
 	"dbtoaster/internal/stream"
@@ -42,7 +41,7 @@ func buildEngines(src string) ([]engine.Engine, func(), error) {
 	// TestNativeQgenDifferential in internal/engine pins a fixed-seed
 	// subset unconditionally.
 	if os.Getenv("DBT_NATIVE_DIFF") == "1" {
-		nat, err := engine.NewNativeToaster(q, native.ModeSubprocess)
+		nat, err := engine.NewNativeToaster(q)
 		if err != nil {
 			return nil, nil, fmt.Errorf("native toaster: %w", err)
 		}

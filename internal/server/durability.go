@@ -137,16 +137,12 @@ func (s *Server) writeStateLocked(w io.Writer, watermark uint64) error {
 		if err := binary.Write(w, binary.LittleEndian, uint8(qstateLive)); err != nil {
 			return err
 		}
-		eng, ok := s.reg.Get(info.Name)
+		eng, ok := s.reg.Toaster(info.Name)
 		if !ok {
 			return fmt.Errorf("query %q vanished during checkpoint", info.Name)
 		}
-		d, ok := eng.(engine.Durable)
-		if !ok {
-			return fmt.Errorf("query %q engine does not support snapshots", info.Name)
-		}
 		var blob bytes.Buffer
-		if err := d.StateSnapshot(&blob, watermark); err != nil {
+		if err := eng.StateSnapshot(&blob, watermark); err != nil {
 			return fmt.Errorf("query %q snapshot: %w", info.Name, err)
 		}
 		if err := binary.Write(w, binary.LittleEndian, uint64(blob.Len())); err != nil {
@@ -217,7 +213,7 @@ func (s *Server) restoreState(rd io.Reader) error {
 				return fmt.Errorf("checkpoint last-good seq: %w", err)
 			}
 			restored[name] = true
-			if _, ok := s.reg.Get(name); ok {
+			if _, ok := s.reg.Toaster(name); ok {
 				// A boot-installed query (e.g. "main") that the checkpoint
 				// holds as quarantined: demote the fresh engine in place so
 				// the tail replay skips it, exactly as live ingest did.
@@ -238,20 +234,16 @@ func (s *Server) restoreState(rd io.Reader) error {
 			return fmt.Errorf("checkpoint blob: %w", err)
 		}
 		restored[name] = true
-		if eng, ok := s.reg.Get(name); ok {
+		if eng, ok := s.reg.Toaster(name); ok {
 			q, _ := s.reg.Query(name)
 			if q != nil && normalSQL(q.SQL) != sqlText {
 				return &SQLMismatchError{Query: name, CheckpointSQL: sqlText, ConfiguredSQL: normalSQL(q.SQL)}
-			}
-			d, ok := eng.(engine.Durable)
-			if !ok {
-				return fmt.Errorf("query %q engine does not support snapshots", name)
 			}
 			// In-place restore: shared-map borrowers hold byte-identical
 			// copies of the owner's blob contents, so clearing and
 			// re-filling the adopted instances is idempotent across the
 			// queries that share them.
-			if _, err := d.StateRestore(bytes.NewReader(blob)); err != nil {
+			if _, err := eng.StateRestore(bytes.NewReader(blob)); err != nil {
 				return fmt.Errorf("recover query %q: %w", name, err)
 			}
 			s.reg.SetFromSeq(name, fromSeq)
@@ -286,24 +278,16 @@ func (s *Server) restoreQuery(name, sqlText string, fromSeq uint64, blob []byte)
 		return fmt.Errorf("recover query %q: %w", name, err)
 	}
 	ropts := runtime.Options{Metrics: s.sink, MetricsLabel: name}
-	tmp, err := s.buildEngine(name, q)
+	tmp, err := catchUpEngine(q)
 	if err != nil {
 		s.reg.Abort(name)
 		return fmt.Errorf("recover query %q: %w", name, err)
 	}
-	d, ok := tmp.(engine.Durable)
-	if !ok {
-		closeEngine(tmp)
-		s.reg.Abort(name)
-		return fmt.Errorf("query %q engine does not support snapshots", name)
-	}
-	if _, err := d.StateRestore(bytes.NewReader(blob)); err != nil {
-		closeEngine(tmp)
+	if _, err := tmp.StateRestore(bytes.NewReader(blob)); err != nil {
 		s.reg.Abort(name)
 		return fmt.Errorf("recover query %q: %w", name, err)
 	}
 	if _, err := s.reg.Install(name, q, tmp, fromSeq, ropts); err != nil {
-		closeEngine(tmp)
 		s.reg.Abort(name)
 		return fmt.Errorf("recover query %q: %w", name, err)
 	}
@@ -371,8 +355,7 @@ func (s *Server) runRecovery() (wal.RecoveryInfo, error) {
 				if err != nil {
 					return fmt.Errorf("wal record %d: %w", seq, err)
 				}
-				eng, rerr := s.reg.Remove(name)
-				if rerr != nil {
+				if rerr := s.reg.Remove(name); rerr != nil {
 					// Removal of a query a newer checkpoint no longer holds
 					// replays as a no-op, like a rejected event.
 					s.replayErrs++
@@ -381,7 +364,6 @@ func (s *Server) runRecovery() (wal.RecoveryInfo, error) {
 				if s.sink != nil {
 					s.sink.DropLabel(name)
 				}
-				closeEngine(eng)
 				return nil
 			default:
 				rel, insert, args, err := wal.DecodeEvent(data)
@@ -408,7 +390,7 @@ func (s *Server) runRecovery() (wal.RecoveryInfo, error) {
 // record at or before the checkpoint watermark is never replayed (the
 // checkpoint already holds the query), and one after it always is.
 func (s *Server) recoverRegister(name, sqlText string, fromSeq, recordSeq uint64) error {
-	if _, ok := s.reg.Get(name); ok {
+	if _, ok := s.reg.Toaster(name); ok {
 		// Already present (e.g. a crash between the WAL record and the
 		// checkpoint that captured it was recovered twice): re-registering
 		// is a no-op, like a rejected event.
@@ -424,7 +406,7 @@ func (s *Server) recoverRegister(name, sqlText string, fromSeq, recordSeq uint64
 		return fmt.Errorf("recover register %q: %w", name, err)
 	}
 	ropts := runtime.Options{Metrics: s.sink, MetricsLabel: name}
-	tmp, err := s.buildEngine(name, q)
+	tmp, err := catchUpEngine(q)
 	if err != nil {
 		s.reg.Abort(name)
 		return fmt.Errorf("recover register %q: %w", name, err)
@@ -434,12 +416,10 @@ func (s *Server) recoverRegister(name, sqlText string, fromSeq, recordSeq uint64
 		qs = s.sink.Query(name)
 	}
 	if _, _, err := s.replayInto(tmp, fromSeq, recordSeq, qs); err != nil {
-		closeEngine(tmp)
 		s.reg.Abort(name)
 		return fmt.Errorf("recover register %q: %w", name, err)
 	}
 	if _, err := s.reg.Install(name, q, tmp, fromSeq, ropts); err != nil {
-		closeEngine(tmp)
 		s.reg.Abort(name)
 		return fmt.Errorf("recover register %q: %w", name, err)
 	}

@@ -10,9 +10,9 @@ import (
 	"dbtoaster/internal/types"
 )
 
-func mainEngine(t *testing.T, s *Server) engine.CompiledEngine {
+func mainEngine(t *testing.T, s *Server) *engine.Toaster {
 	t.Helper()
-	eng, ok := s.reg.Get("main")
+	eng, ok := s.reg.Toaster("main")
 	if !ok {
 		t.Fatal("main query not registered")
 	}
@@ -362,7 +362,7 @@ func TestServerRecoverAuxiliaryMaps(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want strings.Builder
-	if err := mainEngine(t, s).(engine.Durable).StateSnapshot(&want, 0); err != nil {
+	if err := mainEngine(t, s).StateSnapshot(&want, 0); err != nil {
 		t.Fatal(err)
 	}
 	c.Close()
@@ -377,7 +377,7 @@ func TestServerRecoverAuxiliaryMaps(t *testing.T) {
 		t.Fatalf("RecoveryInfo = %+v, replayErrs %d", info, replayErrs)
 	}
 	var got strings.Builder
-	if err := mainEngine(t, s2).(engine.Durable).StateSnapshot(&got, 0); err != nil {
+	if err := mainEngine(t, s2).StateSnapshot(&got, 0); err != nil {
 		t.Fatal(err)
 	}
 	if got.String() != want.String() {

@@ -29,22 +29,18 @@ const (
 	dynLateSQL = "select sum(A) from R where A > 2"
 )
 
-func snapshotOf(t *testing.T, eng engine.CompiledEngine) string {
+func snapshotOf(t *testing.T, eng *engine.Toaster) string {
 	t.Helper()
 	var buf strings.Builder
-	d, ok := eng.(engine.Durable)
-	if !ok {
-		t.Fatal("engine is not durable")
-	}
-	if err := d.StateSnapshot(&buf, 0); err != nil {
+	if err := eng.StateSnapshot(&buf, 0); err != nil {
 		t.Fatal(err)
 	}
 	return buf.String()
 }
 
-func queryEngineOf(t *testing.T, s *Server, name string) engine.CompiledEngine {
+func queryEngineOf(t *testing.T, s *Server, name string) *engine.Toaster {
 	t.Helper()
-	eng, ok := s.reg.Get(name)
+	eng, ok := s.reg.Toaster(name)
 	if !ok {
 		t.Fatalf("query %q not live", name)
 	}
@@ -387,7 +383,7 @@ func TestRegistrationCrashRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { s2.Close() })
-			_, ok := s2.reg.Get("q2")
+			_, ok := s2.reg.Toaster("q2")
 			if ok != sc.wantQ2 {
 				t.Fatalf("after recovery q2 live = %v, want %v (queries %v)", ok, sc.wantQ2, s2.reg.Names())
 			}

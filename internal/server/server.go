@@ -115,11 +115,6 @@ type Options struct {
 	// OverloadedError carrying a retry hint instead of queueing without
 	// bound; see commit.go.
 	MaxPending int
-	// EngineBuilder overrides engine construction for registered queries
-	// (e.g. the supervised native-code engine). Nil selects the built-in
-	// Toaster. Builder engines install as-is: no map sharing or
-	// rebuild-with-transfer.
-	EngineBuilder func(name string, q *engine.Query) (engine.CompiledEngine, error)
 }
 
 // Server is a standalone standing-query processor hosting a dynamic set of
@@ -143,12 +138,11 @@ type Server struct {
 
 	// Overload protection (see commit.go for shedding, Listen/serve for
 	// the connection-level guards).
-	maxPending    int
-	maxConns      int
-	idleTimeout   time.Duration
-	conns         atomic.Int64
-	emaGroupNs    atomic.Int64
-	engineBuilder func(name string, q *engine.Query) (engine.CompiledEngine, error)
+	maxPending  int
+	maxConns    int
+	idleTimeout time.Duration
+	conns       atomic.Int64
+	emaGroupNs  atomic.Int64
 	// recovering suppresses quarantine WAL appends while replay itself
 	// rediscovers (or re-applies) demotions.
 	recovering bool
@@ -172,7 +166,7 @@ func NewWithOptions(sqlText string, cat *schema.Catalog, opts Options) (*Server,
 	s := &Server{
 		cat: cat, reg: engine.NewRegistry(true),
 		maxPending: opts.MaxPending, maxConns: opts.MaxConns,
-		idleTimeout: opts.IdleTimeout, engineBuilder: opts.EngineBuilder,
+		idleTimeout: opts.IdleTimeout,
 	}
 	if !opts.NoMetrics {
 		s.sink = opts.Metrics
@@ -194,14 +188,12 @@ func NewWithOptions(sqlText string, cat *schema.Catalog, opts Options) (*Server,
 		}
 		m, err := wal.Open(opts.WALDir, wopts)
 		if err != nil {
-			s.closeEngines()
 			return nil, err
 		}
 		s.wal = m
 		s.ckptEvery = opts.CheckpointEvery
 		if !m.Empty() && !opts.Recover {
 			m.Close()
-			s.closeEngines()
 			return nil, fmt.Errorf("server: WAL directory %s holds prior state; start with recovery enabled or point at an empty directory", opts.WALDir)
 		}
 		if opts.Recover {
@@ -217,7 +209,6 @@ func NewWithOptions(sqlText string, cat *schema.Catalog, opts Options) (*Server,
 			s.recovering = false
 			if err != nil {
 				m.Close()
-				s.closeEngines()
 				return nil, fmt.Errorf("server: recovery: %w", err)
 			}
 			s.recovery = &info
@@ -226,23 +217,6 @@ func NewWithOptions(sqlText string, cat *schema.Catalog, opts Options) (*Server,
 	// Construction can no longer fail; start the group-commit stage.
 	s.startCommitter()
 	return s, nil
-}
-
-// closeEngines shuts down engines holding resources (native child
-// processes); used on constructor error paths where Close is never
-// reached.
-func (s *Server) closeEngines() {
-	for _, name := range s.reg.Names() {
-		if eng, ok := s.reg.Get(name); ok {
-			closeEngine(eng)
-		}
-	}
-}
-
-func closeEngine(eng engine.Engine) {
-	if c, ok := eng.(interface{ Close() error }); ok {
-		_ = c.Close()
-	}
 }
 
 // onQuarantine is the registry's durability hook for fan-out demotions. It
@@ -267,14 +241,9 @@ func (s *Server) onQuarantine(name, reason string) uint64 {
 	return lastGood
 }
 
-// buildEngine constructs the private (catch-up) engine for one query per
-// the server's configuration: the configured EngineBuilder when set,
-// otherwise a bare Toaster, which Install rebuilds with metrics and map
-// sharing; builder engines install as-is.
-func (s *Server) buildEngine(name string, q *engine.Query) (engine.CompiledEngine, error) {
-	if s.engineBuilder != nil {
-		return s.engineBuilder(name, q)
-	}
+// catchUpEngine constructs the private engine one query is caught up in:
+// a bare Toaster, which Install rebuilds with metrics and map sharing.
+func catchUpEngine(q *engine.Query) (*engine.Toaster, error) {
 	return engine.NewToaster(q, runtime.Options{NoMetrics: true})
 }
 
@@ -312,7 +281,7 @@ func (s *Server) install(name, sqlText string) error {
 		return err
 	}
 	ropts := runtime.Options{Metrics: s.sink, MetricsLabel: name}
-	tmp, err := s.buildEngine(name, q)
+	tmp, err := catchUpEngine(q)
 	if err != nil {
 		return err
 	}
@@ -342,7 +311,6 @@ func (s *Server) install(name, sqlText string) error {
 		for passes := 0; passes < 32; passes++ {
 			first, last, rerr := s.replayInto(tmp, lastSeen, 0, qs)
 			if rerr != nil {
-				closeEngine(tmp)
 				return rerr
 			}
 			if first == 0 {
@@ -359,7 +327,7 @@ func (s *Server) install(name, sqlText string) error {
 		}
 	}
 
-	err = s.control(func() error {
+	return s.control(func() error {
 		var fromSeq uint64
 		if live {
 			// Final drain: the log is static under the control lane, so one
@@ -393,10 +361,6 @@ func (s *Server) install(name, sqlText string) error {
 		_, ierr := s.reg.Install(name, q, tmp, fromSeq, ropts)
 		return ierr
 	})
-	if err != nil {
-		closeEngine(tmp)
-	}
-	return err
 }
 
 // Unregister removes a standing query at a control point in the ingest
@@ -405,13 +369,10 @@ func (s *Server) install(name, sqlText string) error {
 // an UNREGISTER record makes the removal survive recovery. Removing the
 // last live query is refused.
 func (s *Server) Unregister(name string) error {
-	var removed engine.Engine
-	err := s.control(func() error {
-		eng, err := s.reg.Remove(name)
-		if err != nil {
+	return s.control(func() error {
+		if err := s.reg.Remove(name); err != nil {
 			return err
 		}
-		removed = eng
 		if s.wal != nil {
 			if _, werr := s.wal.Append(wal.AppendUnregister(nil, name)); werr != nil {
 				return fmt.Errorf("wal append unregister: %w", werr)
@@ -422,10 +383,6 @@ func (s *Server) Unregister(name string) error {
 		}
 		return nil
 	})
-	if removed != nil {
-		closeEngine(removed)
-	}
-	return err
 }
 
 // Listen starts accepting connections on addr (e.g. "127.0.0.1:0") and
@@ -467,8 +424,7 @@ func (s *Server) Listen(addr string) (string, error) {
 }
 
 // Close stops the listener, waits for connections to drain, stops the
-// group-commit stage, and shuts down any engines holding resources
-// (native child processes).
+// group-commit stage, and closes the WAL.
 func (s *Server) Close() error {
 	var err error
 	if s.ln != nil {
@@ -478,15 +434,6 @@ func (s *Server) Close() error {
 	s.stopCommitter()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, name := range s.reg.Names() {
-		if eng, ok := s.reg.Get(name); ok {
-			if c, ok := eng.(interface{ Close() error }); ok {
-				if cerr := c.Close(); err == nil {
-					err = cerr
-				}
-			}
-		}
-	}
 	if s.wal != nil {
 		if werr := s.wal.Close(); err == nil {
 			err = werr
@@ -576,7 +523,7 @@ func (s *Server) resultOf(name string) (*engine.Result, error) {
 	if name == "" {
 		name = s.reg.First()
 	}
-	eng, ok := s.reg.Get(name)
+	eng, ok := s.reg.Toaster(name)
 	if !ok {
 		return nil, fmt.Errorf("unknown query %q", name)
 	}
@@ -626,18 +573,16 @@ func (s *Server) statsBody() (events uint64, entries int, lines []string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, name := range s.reg.Names() {
-		eng, ok := s.reg.Get(name)
+		eng, ok := s.reg.Toaster(name)
 		if !ok {
 			continue
 		}
 		n := eng.MemEntries()
 		entries += n
 		lines = append(lines, fmt.Sprintf("query %s entries=%d", name, n))
-		if ms, ok := eng.(interface{ MapStats() []runtime.MemStats }); ok {
-			for _, m := range ms.MapStats() {
-				lines = append(lines, fmt.Sprintf("map %s.%s entries=%d layout=%s shared=%t",
-					name, m.Name, m.Entries, m.Layout, m.Shared))
-			}
+		for _, m := range eng.MapStats() {
+			lines = append(lines, fmt.Sprintf("map %s.%s entries=%d layout=%s shared=%t",
+				name, m.Name, m.Entries, m.Layout, m.Shared))
 		}
 	}
 	for _, info := range s.reg.Infos() {
@@ -762,7 +707,7 @@ func (s *Server) handle(sc *bufio.Scanner, w *bufio.Writer, line string) (quit b
 		if name == "" {
 			name = s.reg.First()
 		}
-		eng, ok := s.reg.Get(name)
+		eng, ok := s.reg.Toaster(name)
 		if !ok {
 			fmt.Fprintf(w, "ERR unknown query %q\n", name)
 			return false

@@ -53,12 +53,12 @@ BENCHTIME=100x SUITE=native OUT="${TMPDIR:-/tmp}/BENCH_native_smoke.json" sh scr
 echo "== qgen differential smoke ==" && go test ./internal/qgen/ -run 'TestQgenDifferential|TestQgenAlwaysCompiles' -short -count=1
 echo "== qgen fuzz smoke ==" && go test ./internal/qgen/ -run xxx -fuzz FuzzQueryAgreement -fuzztime 10s
 
-# Failure isolation: the chaos matrix (quota breacher + panicker + native
-# child kill alongside a healthy tenant, bitwise-compared to a fault-free
-# twin), the overload/connection guards, then the end-to-end smoke driving
-# a stock dbtserver binary through quarantine, kill -9 recovery, revive,
-# and native child supervision. A short fuzz pass keeps the command loop
-# honest against arbitrary input.
+# Failure isolation: the chaos matrix (quota breacher + panicker alongside
+# healthy tenants, bitwise-compared to a fault-free twin), the
+# overload/connection guards, then the end-to-end smoke driving a stock
+# dbtserver binary through quarantine (checked via LIST, METRICS and the
+# Prometheus endpoint), kill -9 recovery, and revive. A short fuzz pass
+# keeps the command loop honest against arbitrary input.
 echo "== chaos / overload smoke ==" && GOMAXPROCS=4 go test -race -count=1 \
     -run 'TestServerChaosMatrix|TestServerOverloadShedding|TestServerGracefulShutdownUnderLoad|TestQuarantine' \
     ./internal/server/ ./internal/engine/

@@ -7,7 +7,6 @@ import (
 	"dbtoaster"
 	"dbtoaster/internal/bakeoff"
 	"dbtoaster/internal/engine"
-	"dbtoaster/internal/native"
 	"dbtoaster/internal/schema"
 	"dbtoaster/internal/server"
 )
@@ -104,7 +103,7 @@ func compilePaths(cat *schema.Catalog, pub *dbtoaster.Catalog) map[string]func(s
 			if err != nil {
 				return err
 			}
-			eng, err := engine.NewNativeToaster(q, native.ModeSubprocess)
+			eng, err := engine.NewNativeToaster(q)
 			if err == nil {
 				eng.Close()
 			}
